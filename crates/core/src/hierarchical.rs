@@ -138,6 +138,21 @@ impl HierRb {
     pub fn load() -> Self {
         Self::default()
     }
+
+    fn solve(
+        &self,
+        pfx: &PrefixSum2D,
+        m: usize,
+        check: Checker,
+    ) -> Result<Vec<Rect>, RectpartError> {
+        let mut rects = Vec::with_capacity(m);
+        if pfx.is_sparse() {
+            rb_recurse(Projected::root(pfx), self.variant, m, 0, &mut rects, check)?;
+        } else {
+            rb_recurse(Direct::root(pfx), self.variant, m, 0, &mut rects, check)?;
+        }
+        Ok(rects)
+    }
 }
 
 impl Partitioner for HierRb {
@@ -147,12 +162,9 @@ impl Partitioner for HierRb {
 
     fn partition(&self, pfx: &PrefixSum2D, m: usize) -> Partition {
         assert!(m >= 1);
-        let mut rects = Vec::with_capacity(m);
-        let full = Rect::new(0, pfx.rows(), 0, pfx.cols());
-        if rb_recurse(pfx, self.variant, full, m, 0, &mut rects, Checker::OFF).is_err() {
-            // Unreachable with Checker::OFF; a valid one-part fallback.
-            one_part_rects(full, m, &mut rects);
-        }
+        let rects = self
+            .solve(pfx, m, Checker::OFF)
+            .unwrap_or_else(|_| one_part_rects(pfx, m));
         debug_assert_eq!(rects.len(), m);
         Partition::new(rects)
     }
@@ -161,31 +173,175 @@ impl Partitioner for HierRb {
         if m == 0 {
             return Err(RectpartError::ZeroParts);
         }
-        let mut rects = Vec::with_capacity(m);
-        let full = Rect::new(0, pfx.rows(), 0, pfx.cols());
-        rb_recurse(pfx, self.variant, full, m, 0, &mut rects, Checker::active())?;
-        Ok(Partition::new(rects))
+        Ok(Partition::new(self.solve(pfx, m, Checker::active())?))
     }
 }
 
 /// Discharges the unreachable `Err` arm of the infallible entry points:
 /// the whole matrix on one processor, the rest idle.
-fn one_part_rects(full: Rect, m: usize, out: &mut Vec<Rect>) {
-    out.clear();
-    out.push(full);
-    out.extend(std::iter::repeat_n(Rect::EMPTY, m - 1));
+fn one_part_rects(pfx: &PrefixSum2D, m: usize) -> Vec<Rect> {
+    let mut rects = vec![Rect::new(0, pfx.rows(), 0, pfx.cols())];
+    rects.extend(std::iter::repeat_n(Rect::EMPTY, m - 1));
+    rects
 }
 
-#[allow(clippy::too_many_arguments)]
-fn rb_recurse(
-    pfx: &PrefixSum2D,
-    variant: HierVariant,
+/// Where a node's split search reads the loads of its two halves.
+///
+/// Dense Γ answers each query in O(1) ([`Direct`]). A sparse Γ query
+/// scans every row in range, so there a node reads its projections
+/// onto the two axes instead ([`Projected`]), and passes its children
+/// theirs: along the cut, the two halves of its own; across it, one
+/// child's projection and, for the other, the difference to its own.
+/// The backend is checked once per solve, at the root.
+trait NodeLoads: Sized + Send {
+    /// The node's rectangle.
+    fn rect(&self) -> Rect;
+
+    /// `halves(at)`: the loads of the node's two parts when it is cut
+    /// along `axis` at `at`.
+    fn halves(&mut self, axis: Axis) -> impl Fn(usize) -> (u64, u64) + Copy + '_;
+
+    /// The node's two parts when cut along `axis` at `at`, to be split
+    /// among `ma` and `mb` processors.
+    fn split(self, axis: Axis, at: usize, ma: usize, mb: usize) -> (Self, Self);
+}
+
+/// A node on dense Γ: each half's load is one Γ query.
+struct Direct<'a> {
+    pfx: &'a PrefixSum2D,
     rect: Rect,
+}
+
+impl<'a> Direct<'a> {
+    fn root(pfx: &'a PrefixSum2D) -> Self {
+        Self {
+            pfx,
+            rect: Rect::new(0, pfx.rows(), 0, pfx.cols()),
+        }
+    }
+}
+
+impl NodeLoads for Direct<'_> {
+    fn rect(&self) -> Rect {
+        self.rect
+    }
+
+    fn halves(&mut self, axis: Axis) -> impl Fn(usize) -> (u64, u64) + Copy + '_ {
+        let (pfx, rect) = (self.pfx, self.rect);
+        move |at| {
+            let (a, b) = rect.split(axis, at);
+            (pfx.load(&a), pfx.load(&b))
+        }
+    }
+
+    fn split(self, axis: Axis, at: usize, _: usize, _: usize) -> (Self, Self) {
+        let (a, b) = self.rect.split(axis, at);
+        let pfx = self.pfx;
+        (Self { pfx, rect: a }, Self { pfx, rect: b })
+    }
+}
+
+/// A node on sparse Γ with its projections onto rows and columns
+/// ([`PrefixSum2D::project_into`]): `extent + 1` prefix loads each,
+/// empty until the node projects or its parent passes one down.
+struct Projected<'a> {
+    pfx: &'a PrefixSum2D,
+    rect: Rect,
+    rows: Vec<u64>,
+    cols: Vec<u64>,
+}
+
+impl<'a> Projected<'a> {
+    fn root(pfx: &'a PrefixSum2D) -> Self {
+        Self::new(pfx, Rect::new(0, pfx.rows(), 0, pfx.cols()))
+    }
+
+    fn new(pfx: &'a PrefixSum2D, rect: Rect) -> Self {
+        Self {
+            pfx,
+            rect,
+            rows: Vec::new(),
+            cols: Vec::new(),
+        }
+    }
+
+    fn onto(&mut self, axis: Axis) -> &mut Vec<u64> {
+        match axis {
+            Axis::Rows => &mut self.rows,
+            Axis::Cols => &mut self.cols,
+        }
+    }
+}
+
+impl NodeLoads for Projected<'_> {
+    fn rect(&self) -> Rect {
+        self.rect
+    }
+
+    fn halves(&mut self, axis: Axis) -> impl Fn(usize) -> (u64, u64) + Copy + '_ {
+        let (pfx, rect) = (self.pfx, self.rect);
+        let proj = self.onto(axis);
+        if proj.is_empty() {
+            pfx.project_into(&rect, axis, proj);
+        }
+        let proj: &[u64] = proj;
+        let lo = rect.extent(axis).0;
+        let total = proj.last().copied().unwrap_or(0);
+        move |at| {
+            let first = proj.get(at - lo).copied().unwrap_or(0);
+            (first, total - first)
+        }
+    }
+
+    fn split(mut self, axis: Axis, at: usize, ma: usize, mb: usize) -> (Self, Self) {
+        let (ra, rb) = self.rect.split(axis, at);
+        let (mut a, mut b) = (Self::new(self.pfx, ra), Self::new(self.pfx, rb));
+        // A part with one processor reads no loads.
+        let (need_a, need_b) = (ma > 1, mb > 1);
+        let cut = std::mem::take(self.onto(axis));
+        let k = at - self.rect.extent(axis).0;
+        if let (Some(head), Some(tail)) = (cut.get(..=k), cut.get(k..)) {
+            if need_a {
+                *a.onto(axis) = head.to_vec();
+            }
+            if need_b {
+                let base = tail.first().copied().unwrap_or(0);
+                *b.onto(axis) = tail.iter().map(|&v| v - base).collect();
+            }
+        }
+        let other = axis.flip();
+        let across = std::mem::take(self.onto(other));
+        if need_a && need_b && !across.is_empty() {
+            // Project the part with fewer lines along the cut; the other
+            // part's loads are the rest of this node's.
+            let lines = |r: Rect| r.extent(axis).1 - r.extent(axis).0;
+            let (small, large) = if lines(ra) <= lines(rb) {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            let small_rect = small.rect;
+            let projected = small.onto(other);
+            self.pfx.project_into(&small_rect, other, projected);
+            *large.onto(other) = across
+                .iter()
+                .zip(projected.iter())
+                .map(|(&t, &s)| t - s)
+                .collect();
+        }
+        (a, b)
+    }
+}
+
+fn rb_recurse(
+    mut node: impl NodeLoads,
+    variant: HierVariant,
     m: usize,
     depth: usize,
     out: &mut Vec<Rect>,
     check: Checker,
 ) -> Result<(), RectpartError> {
+    let rect = node.rect();
     if m == 1 {
         out.push(rect);
         return Ok(());
@@ -205,51 +361,58 @@ fn rb_recurse(
         out.extend(std::iter::repeat_n(Rect::EMPTY, m - 1));
         return Ok(());
     }
-    let m1 = m / 2;
-    let m2 = m - m1;
     let mut best: Option<(u128, Axis, usize, usize)> = None;
     for &axis in &candidates {
-        for (ma, mb) in assignments(m1, m2) {
-            let (at, key) = best_balanced_split(pfx, &rect, axis, ma, mb);
-            if best.is_none_or(|(bk, ..)| key < bk) {
-                best = Some((key, axis, at, ma));
-            }
-        }
+        rb_scan(node.halves(axis), &rect, axis, m, &mut best);
     }
     // lint:allow(panic) -- invariant: `candidates` is non-empty (checked above) and every candidate yields a keyed split
     let (_, axis, at, ma) = best.expect("invariant: non-empty candidates produce a best split");
-    let (a, b) = rect.split(axis, at);
+    let (a, b) = node.split(axis, at, ma, m - ma);
     recurse_halves(
         out,
         m,
-        |v| rb_recurse(pfx, variant, a, ma, depth + 1, v, check),
-        |v| rb_recurse(pfx, variant, b, m - ma, depth + 1, v, check),
+        |v| rb_recurse(a, variant, ma, depth + 1, v, check),
+        |v| rb_recurse(b, variant, m - ma, depth + 1, v, check),
     )
 }
 
-/// The one or two ways to hand `⌊m/2⌋ + ⌈m/2⌉` processors to the halves.
-fn assignments(m1: usize, m2: usize) -> impl Iterator<Item = (usize, usize)> {
-    let second = if m1 == m2 { None } else { Some((m2, m1)) };
-    std::iter::once((m1, m2)).chain(second)
-}
-
-/// Best split of `rect` along `axis` when the first part gets `ma`
-/// processors and the second `mb`: minimizes
-/// `max(L(first)/ma, L(second)/mb)`, located by binary search on the
-/// crossing of the two monotone per-processor loads. Returns
-/// `(split position, max(L1·mb, L2·ma))` — the comparable cross-product
-/// key (denominator `ma·mb` is constant across candidates of one node).
-fn best_balanced_split(
-    pfx: &PrefixSum2D,
+/// HIER-RB's candidates along one axis: both ways to hand
+/// `⌊m/2⌋ + ⌈m/2⌉` processors to the halves, each at its best split;
+/// keeps the lowest key in `best`.
+fn rb_scan(
+    halves: impl Fn(usize) -> (u64, u64) + Copy,
     rect: &Rect,
     axis: Axis,
+    m: usize,
+    best: &mut Option<(u128, Axis, usize, usize)>,
+) {
+    let m1 = m / 2;
+    let m2 = m - m1;
+    let second = if m1 == m2 { None } else { Some((m2, m1)) };
+    for (ma, mb) in std::iter::once((m1, m2)).chain(second) {
+        let (at, key) = best_balanced_split(halves, rect.extent(axis), ma, mb);
+        if best.is_none_or(|(bk, ..)| key < bk) {
+            *best = Some((key, axis, at, ma));
+        }
+    }
+}
+
+/// Best split position in `[lo, hi]` when the first part gets `ma`
+/// processors and the second `mb`, with `halves(at)` the two parts'
+/// loads: minimizes `max(L(first)/ma, L(second)/mb)`, located by binary
+/// search on the crossing of the two monotone per-processor loads.
+/// Returns `(split position, max(L1·mb, L2·ma))` — the comparable
+/// cross-product key (denominator `ma·mb` is constant across candidates
+/// of one node).
+fn best_balanced_split(
+    halves: impl Fn(usize) -> (u64, u64) + Copy,
+    (lo, hi): (usize, usize),
     ma: usize,
     mb: usize,
 ) -> (usize, u128) {
-    let (lo, hi) = rect.extent(axis);
     let side = |at: usize| -> (u128, u128) {
-        let (a, b) = rect.split(axis, at);
-        (pfx.load(&a) as u128, pfx.load(&b) as u128)
+        let (l1, l2) = halves(at);
+        (l1 as u128, l2 as u128)
     };
     // Smallest split with L1·mb >= L2·ma.
     let (mut a, mut b) = (lo, hi);
@@ -316,6 +479,22 @@ impl HierRelaxed {
     pub fn load() -> Self {
         Self::default()
     }
+
+    fn solve(
+        &self,
+        pfx: &PrefixSum2D,
+        m: usize,
+        check: Checker,
+    ) -> Result<Vec<Rect>, RectpartError> {
+        let (variant, bias) = (self.variant, self.balance_bias);
+        let mut rects = Vec::with_capacity(m);
+        if pfx.is_sparse() {
+            relaxed_recurse(Projected::root(pfx), variant, bias, m, 0, &mut rects, check)?;
+        } else {
+            relaxed_recurse(Direct::root(pfx), variant, bias, m, 0, &mut rects, check)?;
+        }
+        Ok(rects)
+    }
 }
 
 impl Partitioner for HierRelaxed {
@@ -325,22 +504,9 @@ impl Partitioner for HierRelaxed {
 
     fn partition(&self, pfx: &PrefixSum2D, m: usize) -> Partition {
         assert!(m >= 1);
-        let mut rects = Vec::with_capacity(m);
-        let full = Rect::new(0, pfx.rows(), 0, pfx.cols());
-        let run = relaxed_recurse(
-            pfx,
-            self.variant,
-            self.balance_bias,
-            full,
-            m,
-            0,
-            &mut rects,
-            Checker::OFF,
-        );
-        if run.is_err() {
-            // Unreachable with Checker::OFF; a valid one-part fallback.
-            one_part_rects(full, m, &mut rects);
-        }
+        let rects = self
+            .solve(pfx, m, Checker::OFF)
+            .unwrap_or_else(|_| one_part_rects(pfx, m));
         debug_assert_eq!(rects.len(), m);
         Partition::new(rects)
     }
@@ -349,33 +515,20 @@ impl Partitioner for HierRelaxed {
         if m == 0 {
             return Err(RectpartError::ZeroParts);
         }
-        let mut rects = Vec::with_capacity(m);
-        let full = Rect::new(0, pfx.rows(), 0, pfx.cols());
-        relaxed_recurse(
-            pfx,
-            self.variant,
-            self.balance_bias,
-            full,
-            m,
-            0,
-            &mut rects,
-            Checker::active(),
-        )?;
-        Ok(Partition::new(rects))
+        Ok(Partition::new(self.solve(pfx, m, Checker::active())?))
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn relaxed_recurse(
-    pfx: &PrefixSum2D,
+    mut node: impl NodeLoads,
     variant: HierVariant,
     bias: f64,
-    rect: Rect,
     m: usize,
     depth: usize,
     out: &mut Vec<Rect>,
     check: Checker,
 ) -> Result<(), RectpartError> {
+    let rect = node.rect();
     if m == 1 {
         out.push(rect);
         return Ok(());
@@ -398,33 +551,48 @@ fn relaxed_recurse(
     // `bias` margin (see the type-level docs for why).
     let mut best: Option<(f64, Axis, usize, usize)> = None;
     for &axis in &candidates {
-        for step in 0..m - 1 {
-            let half = m / 2;
-            let j = if step % 2 == 0 {
-                half - step / 2
-            } else {
-                half + step.div_ceil(2)
-            };
-            if j == 0 || j >= m {
-                continue;
-            }
-            let (at, _) = best_balanced_split(pfx, &rect, axis, j, m - j);
-            let (a, b) = rect.split(axis, at);
-            let key = (pfx.load(&a) as f64 / j as f64).max(pfx.load(&b) as f64 / (m - j) as f64);
-            if best.is_none_or(|(bk, ..)| key < bk * (1.0 - bias)) {
-                best = Some((key, axis, at, j));
-            }
-        }
+        relaxed_scan(node.halves(axis), &rect, axis, m, bias, &mut best);
     }
     // lint:allow(panic) -- invariant: m >= 2 makes j = m/2 a valid first candidate, so the scan always keys at least one split
     let (_, axis, at, j) = best.expect("invariant: the relaxed scan keys at least one split");
-    let (a, b) = rect.split(axis, at);
+    let (a, b) = node.split(axis, at, j, m - j);
     recurse_halves(
         out,
         m,
-        |v| relaxed_recurse(pfx, variant, bias, a, j, depth + 1, v, check),
-        |v| relaxed_recurse(pfx, variant, bias, b, m - j, depth + 1, v, check),
+        |v| relaxed_recurse(a, variant, bias, j, depth + 1, v, check),
+        |v| relaxed_recurse(b, variant, bias, m - j, depth + 1, v, check),
     )
+}
+
+/// HIER-RELAXED's candidates along one axis: every processor split
+/// `j / (m−j)`, visited from the balanced one outward, each at its best
+/// cut; keeps in `best` the lowest relaxed key that beats the incumbent
+/// by the `bias` margin.
+fn relaxed_scan(
+    halves: impl Fn(usize) -> (u64, u64) + Copy,
+    rect: &Rect,
+    axis: Axis,
+    m: usize,
+    bias: f64,
+    best: &mut Option<(f64, Axis, usize, usize)>,
+) {
+    for step in 0..m - 1 {
+        let half = m / 2;
+        let j = if step % 2 == 0 {
+            half - step / 2
+        } else {
+            half + step.div_ceil(2)
+        };
+        if j == 0 || j >= m {
+            continue;
+        }
+        let (at, _) = best_balanced_split(halves, rect.extent(axis), j, m - j);
+        let (l1, l2) = halves(at);
+        let key = (l1 as f64 / j as f64).max(l2 as f64 / (m - j) as f64);
+        if best.is_none_or(|(bk, ..)| key < bk * (1.0 - bias)) {
+            *best = Some((key, axis, at, j));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -571,6 +739,58 @@ mod tests {
         for m in [2, 5, 9, 17] {
             assert!(HierRb::load().partition(&pfx, m).lmax(&pfx) >= pfx.lower_bound(m));
             assert!(HierRelaxed::load().partition(&pfx, m).lmax(&pfx) >= pfx.lower_bound(m));
+        }
+    }
+
+    /// A sparse node hands its children projections (slices along the
+    /// cut, a projection plus a difference across it): each one must be
+    /// exactly what the child would project itself, and a child with one
+    /// processor gets none.
+    #[test]
+    fn passed_down_projections_match_fresh_ones() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let mat = LoadMatrix::from_fn(23, 31, |_, _| {
+            if rng.gen_range(0..4) == 0 {
+                rng.gen_range(1..60)
+            } else {
+                0
+            }
+        });
+        let pfx = PrefixSum2D::try_new_with(&mat, crate::GammaMode::Sparse).unwrap();
+        let fresh = |rect: &Rect, axis| {
+            let mut out = Vec::new();
+            pfx.project_into(rect, axis, &mut out);
+            out
+        };
+        for _ in 0..200 {
+            let (r0, c0) = (rng.gen_range(0..23), rng.gen_range(0..31));
+            let rect = Rect::new(r0, rng.gen_range(r0..=23), c0, rng.gen_range(c0..=31));
+            let axis = if rng.gen_range(0..2) == 0 {
+                Axis::Rows
+            } else {
+                Axis::Cols
+            };
+            let (lo, hi) = rect.extent(axis);
+            let at = rng.gen_range(lo..=hi);
+            let (ma, mb) = (rng.gen_range(1..4), rng.gen_range(1..4));
+            let mut node = Projected::new(&pfx, rect);
+            let _ = node.halves(axis);
+            if rng.gen_range(0..2) == 0 {
+                let _ = node.halves(axis.flip());
+            }
+            let (a, b) = node.split(axis, at, ma, mb);
+            for (mut child, m) in [(a, ma), (b, mb)] {
+                for (got, onto) in [(&child.rows, Axis::Rows), (&child.cols, Axis::Cols)] {
+                    if m == 1 {
+                        assert!(got.is_empty(), "{rect:?} {axis:?}@{at}");
+                    } else if !got.is_empty() {
+                        assert_eq!(got, &fresh(&child.rect, onto), "{rect:?} {axis:?}@{at}");
+                    }
+                }
+                if m > 1 {
+                    assert!(!child.onto(axis).is_empty(), "{rect:?} {axis:?}@{at}");
+                }
+            }
         }
     }
 }

@@ -9,6 +9,8 @@
 //! stripe loads, which Theorem 3 shows improves the worst case and §4
 //! shows dominates in practice.
 
+use std::convert::Infallible;
+
 use rectpart_onedim::{nicol, Cuts, FnCost, SolveScratch};
 
 use crate::cancel::Checker;
@@ -49,20 +51,9 @@ impl JaggedVariant {
         pfx: &PrefixSum2D,
         f: impl Fn(View<'_>) -> Partition + Sync,
     ) -> Partition {
-        match self {
-            JaggedVariant::Hor => f(pfx.view(Axis::Rows)),
-            JaggedVariant::Ver => f(pfx.view(Axis::Cols)),
-            JaggedVariant::Best => {
-                // The two orientations are independent: evaluate them on
-                // separate tasks (deterministic — both are pure).
-                let (a, b) =
-                    rectpart_parallel::join(|| f(pfx.view(Axis::Rows)), || f(pfx.view(Axis::Cols)));
-                if a.lmax(pfx) <= b.lmax(pfx) {
-                    a
-                } else {
-                    b
-                }
-            }
+        match self.pick(pfx, |view| Ok::<_, Infallible>(f(view)), |p| p.lmax(pfx)) {
+            Ok(p) => p,
+            Err(never) => match never {},
         }
     }
 
@@ -77,14 +68,30 @@ impl JaggedVariant {
         pfx: &PrefixSum2D,
         f: impl Fn(View<'_>) -> Result<Partition, RectpartError> + Sync,
     ) -> Result<Partition, RectpartError> {
+        self.pick(pfx, f, |p| p.lmax(pfx))
+    }
+
+    /// Runs `f` for the orientation(s) selected; under `-BEST` keeps the
+    /// answer with the lower `lmax` (the first on a tie). The heuristics
+    /// score their answers with the bottleneck their stripe solves
+    /// already returned, where [`Partition::lmax`] would query Γ once
+    /// per rectangle (on sparse Γ, a scan of its rows).
+    fn pick<T: Send, E: Send>(
+        self,
+        pfx: &PrefixSum2D,
+        f: impl Fn(View<'_>) -> Result<T, E> + Sync,
+        lmax: impl Fn(&T) -> u64,
+    ) -> Result<T, E> {
         match self {
             JaggedVariant::Hor => f(pfx.view(Axis::Rows)),
             JaggedVariant::Ver => f(pfx.view(Axis::Cols)),
             JaggedVariant::Best => {
+                // The two orientations are independent: evaluate them on
+                // separate tasks (deterministic — both are pure).
                 let (a, b) =
                     rectpart_parallel::join(|| f(pfx.view(Axis::Rows)), || f(pfx.view(Axis::Cols)));
                 let (a, b) = (a?, b?);
-                Ok(if a.lmax(pfx) <= b.lmax(pfx) { a } else { b })
+                Ok(if lmax(&a) <= lmax(&b) { a } else { b })
             }
         }
     }
@@ -118,10 +125,13 @@ impl Partitioner for JagPqHeur {
         assert!(m >= 1);
         let (p, q) = self.grid.unwrap_or_else(|| grid_dims(m));
         assert!(p * q <= m, "grid {p}x{q} exceeds {m} processors");
-        self.variant.run(pfx, |view| {
-            pq_heur_view(&view, m, p, q, Checker::OFF)
-                .unwrap_or_else(|_| one_part_partition(&view, m))
-        })
+        self.variant
+            .pick(
+                pfx,
+                |view| pq_heur_view(&view, m, p, q, Checker::OFF),
+                |s| s.1,
+            )
+            .map_or_else(|_| one_part_partition(pfx, m), |(part, _)| part)
     }
 
     fn try_partition(&self, pfx: &PrefixSum2D, m: usize) -> Result<Partition, RectpartError> {
@@ -132,34 +142,38 @@ impl Partitioner for JagPqHeur {
         assert!(p * q <= m, "grid {p}x{q} exceeds {m} processors");
         let check = Checker::active();
         self.variant
-            .try_run(pfx, |view| pq_heur_view(&view, m, p, q, check))
+            .pick(pfx, |view| pq_heur_view(&view, m, p, q, check), |s| s.1)
+            .map(|(part, _)| part)
     }
 }
 
-/// The `JAG-PQ-HEUR` core on a fixed orientation. The main-dimension cut
-/// is the serial cancellation checkpoint; the per-stripe solves are
-/// independent parallel quanta and run to completion once launched.
+/// The `JAG-PQ-HEUR` core on a fixed orientation, with the partition's
+/// `Lmax`. The main-dimension cut is the serial cancellation checkpoint;
+/// the per-stripe solves are independent parallel quanta and run to
+/// completion once launched.
 fn pq_heur_view(
     view: &View<'_>,
     m: usize,
     p: usize,
     q: usize,
     check: Checker,
-) -> Result<Partition, RectpartError> {
+) -> Result<(Partition, u64), RectpartError> {
     let main = main_cuts(view, p, check)?;
     check.check()?;
-    let stripes: Vec<(usize, usize)> = main.intervals().filter(|(a, b)| a < b).collect();
-    // Stripes are independent 1D problems (paper §3.2.1): fan out.
-    let rects: Vec<Rect> =
-        rectpart_parallel::flat_map_slice(&stripes, |&(s0, s1)| stripe_rects(view, s0, s1, q));
-    Ok(Partition::with_parts(rects, m))
+    let tasks: Vec<((usize, usize), usize)> = main
+        .intervals()
+        .filter(|(a, b)| a < b)
+        .map(|stripe| (stripe, q))
+        .collect();
+    let (rects, lmax) = solve_stripes(view, &tasks);
+    Ok((Partition::with_parts(rects, m), lmax))
 }
 
 /// Discharges the unreachable `Err` arm of the infallible entry points:
 /// with [`Checker::OFF`] the checked cores can never cancel, but the
 /// fallback must still be a valid partition rather than a panic.
-fn one_part_partition(view: &View<'_>, m: usize) -> Partition {
-    Partition::with_parts(vec![view.rect(0, view.n_main(), 0, view.n_aux())], m)
+fn one_part_partition(pfx: &PrefixSum2D, m: usize) -> Partition {
+    Partition::with_parts(vec![Rect::new(0, pfx.rows(), 0, pfx.cols())], m)
 }
 
 /// Stripe-count policy for [`JagMHeur`].
@@ -217,6 +231,20 @@ impl JagMHeur {
         };
         p.clamp(1, m.min(view.n_main().max(1)))
     }
+
+    fn solve(
+        &self,
+        pfx: &PrefixSum2D,
+        m: usize,
+        check: Checker,
+    ) -> Result<Partition, RectpartError> {
+        let solve = |view: View<'_>| {
+            let p = self.resolve_p(pfx, &view, m);
+            let (rects, lmax) = m_heur_stripes(&view, m, p, check)?;
+            Ok((Partition::with_parts(rects, m), lmax))
+        };
+        self.variant.pick(pfx, solve, |s| s.1).map(|(part, _)| part)
+    }
 }
 
 impl Partitioner for JagMHeur {
@@ -231,22 +259,15 @@ impl Partitioner for JagMHeur {
 
     fn partition(&self, pfx: &PrefixSum2D, m: usize) -> Partition {
         assert!(m >= 1);
-        self.variant.run(pfx, |view| {
-            let p = self.resolve_p(pfx, &view, m);
-            Partition::with_parts(jag_m_heur_view(&view, m, p), m)
-        })
+        self.solve(pfx, m, Checker::OFF)
+            .unwrap_or_else(|_| one_part_partition(pfx, m))
     }
 
     fn try_partition(&self, pfx: &PrefixSum2D, m: usize) -> Result<Partition, RectpartError> {
         if m == 0 {
             return Err(RectpartError::ZeroParts);
         }
-        let check = Checker::active();
-        self.variant.try_run(pfx, |view| {
-            let p = self.resolve_p(pfx, &view, m);
-            let rects = try_jag_m_heur_view(&view, m, p, check)?;
-            Ok(Partition::with_parts(rects, m))
-        })
+        self.solve(pfx, m, Checker::active())
     }
 }
 
@@ -266,6 +287,16 @@ pub(crate) fn try_jag_m_heur_view(
     p: usize,
     check: Checker,
 ) -> Result<Vec<Rect>, RectpartError> {
+    m_heur_stripes(view, m, p, check).map(|(rects, _)| rects)
+}
+
+/// [`try_jag_m_heur_view`] with the rectangles' `Lmax`.
+fn m_heur_stripes(
+    view: &View<'_>,
+    m: usize,
+    p: usize,
+    check: Checker,
+) -> Result<(Vec<Rect>, u64), RectpartError> {
     let main = main_cuts(view, p, check)?;
     check.check()?;
     let stripes: Vec<(usize, usize)> = main.intervals().filter(|(a, b)| a < b).collect();
@@ -274,13 +305,8 @@ pub(crate) fn try_jag_m_heur_view(
         .map(|&(s0, s1)| view.load(s0, s1, 0, view.n_aux()))
         .collect();
     let procs = allocate_processors(&loads, m, p.min(m));
-    // Stripes are independent 1D problems (paper §3.2.1): fan out; the
-    // in-order collect keeps the processor numbering deterministic.
     let tasks: Vec<((usize, usize), usize)> = stripes.into_iter().zip(procs).collect();
-    Ok(rectpart_parallel::flat_map_slice(
-        &tasks,
-        |&((s0, s1), qs)| stripe_rects(view, s0, s1, qs),
-    ))
+    Ok(solve_stripes(view, &tasks))
 }
 
 /// Optimal 1D cuts of the main-dimension projection (no materialized
@@ -293,15 +319,27 @@ fn main_cuts(view: &View<'_>, p: usize, check: Checker) -> Result<Cuts, Rectpart
     Ok(check.nicol_in(&cost, p, &mut scratch)?.cuts)
 }
 
-/// Optimally partitions stripe `[s0, s1)` into `q` rectangles along the
-/// auxiliary dimension.
-fn stripe_rects(view: &View<'_>, s0: usize, s1: usize, q: usize) -> Vec<Rect> {
-    let cost = FnCost::additive(view.n_aux(), |a, b| view.load(s0, s1, a, b));
-    let cuts = nicol(&cost, q).cuts;
-    cuts.intervals()
-        .filter(|(a0, a1)| a0 < a1)
-        .map(|(a0, a1)| view.rect(s0, s1, a0, a1))
-        .collect()
+/// Cuts every stripe `[s0, s1)` of `tasks` optimally into its `q`
+/// rectangles along the auxiliary dimension. Returns the rectangles in
+/// stripe order and the largest load among them.
+fn solve_stripes(view: &View<'_>, tasks: &[((usize, usize), usize)]) -> (Vec<Rect>, u64) {
+    // Stripes are independent 1D problems (paper §3.2.1): fan out; the
+    // in-order collect keeps the processor numbering deterministic.
+    let solved = rectpart_parallel::map_slice(tasks, |&((s0, s1), q)| {
+        let stripe = nicol(&view.stripe_cost(s0, s1), q);
+        let rects: Vec<Rect> = stripe
+            .cuts
+            .intervals()
+            .filter(|(a0, a1)| a0 < a1)
+            .map(|(a0, a1)| view.rect(s0, s1, a0, a1))
+            .collect();
+        (rects, stripe.bottleneck)
+    });
+    let lmax = solved.iter().map(|&(_, b)| b).max().unwrap_or(0);
+    (
+        solved.into_iter().flat_map(|(rects, _)| rects).collect(),
+        lmax,
+    )
 }
 
 /// Distributes `m` processors over stripes proportionally to their loads
@@ -337,30 +375,42 @@ pub fn allocate_processors(loads: &[u64], m: usize, p: usize) -> Vec<usize> {
     // ceilings collided): remove from the stripe with the lowest
     // load-per-processor after removal.
     while sum > m {
-        let victim = (0..stripes)
-            .filter(|&s| procs[s] > 1)
-            .min_by(|&a, &b| {
-                let ka = loads[a] as u128 * (procs[b] - 1) as u128;
-                let kb = loads[b] as u128 * (procs[a] - 1) as u128;
+        let victim = loads
+            .iter()
+            .zip(&procs)
+            .enumerate()
+            .filter(|&(_, (_, &q))| q > 1)
+            .min_by(|&(_, (&la, &qa)), &(_, (&lb, &qb))| {
+                let ka = la as u128 * (qb - 1) as u128;
+                let kb = lb as u128 * (qa - 1) as u128;
                 ka.cmp(&kb)
             })
+            .map(|(s, _)| s)
             // lint:allow(panic) -- invariant: sum > m >= stripes, so some stripe still holds at least two processors
             .expect("invariant: sum > m leaves a stripe with procs > 1");
-        procs[victim] -= 1;
+        if let Some(q) = procs.get_mut(victim) {
+            *q -= 1;
+        }
         sum -= 1;
     }
     // Distribute the leftovers to the stripe with the highest load per
     // currently assigned processor (paper §3.2.2).
     while sum < m {
-        let target = (0..stripes)
-            .max_by(|&a, &b| {
-                let ka = loads[a] as u128 * procs[b] as u128;
-                let kb = loads[b] as u128 * procs[a] as u128;
+        let target = loads
+            .iter()
+            .zip(&procs)
+            .enumerate()
+            .max_by(|&(_, (&la, &qa)), &(_, (&lb, &qb))| {
+                let ka = la as u128 * qb as u128;
+                let kb = lb as u128 * qa as u128;
                 ka.cmp(&kb)
             })
+            .map(|(s, _)| s)
             // lint:allow(panic) -- invariant: stripes >= 1, so the max over stripe indices exists
             .expect("invariant: at least one stripe to receive leftovers");
-        procs[target] += 1;
+        if let Some(q) = procs.get_mut(target) {
+            *q += 1;
+        }
         sum += 1;
     }
     procs

@@ -70,7 +70,8 @@ pub use jagged_opt::{jag_m_opt_dp, JagMOpt, JagPqOpt};
 pub use matrix::LoadMatrix;
 pub use multilevel::Multilevel;
 pub use prefix::{
-    GammaBackend, GammaMode, PrefixSum2D, RowExtrema, RowUpdate, View, SPARSE_ZERO_FRACTION_PERCENT,
+    GammaBackend, GammaMode, PrefixSum2D, RowExtrema, RowUpdate, StripeCost, View,
+    SPARSE_ZERO_FRACTION_PERCENT,
 };
 pub use rectilinear::{RectNicol, RectUniform};
 /// Thread-budget configuration for the parallel execution layer,

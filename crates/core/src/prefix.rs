@@ -95,9 +95,9 @@ impl GammaMode {
     }
 }
 
-/// Zero-cell fraction above which [`PrefixSum2D::try_new_auto`] picks
-/// the sparse backend. At 75% zeros the run storage is already well
-/// under half the dense footprint; below it, dense O(1) queries win.
+/// Zero-cell fraction from which [`PrefixSum2D::try_new_auto`] picks the sparse Γ: its runs take
+/// under half the dense bytes. It answers full-width/-height queries in O(1) and scans rows for the
+/// rest, so the stripe and HIER solves read 1D projections instead (DESIGN.md §13).
 pub const SPARSE_ZERO_FRACTION_PERCENT: u32 = 75;
 
 /// The two storage backends behind the facade.
@@ -682,7 +682,7 @@ impl PrefixSum2D {
     ///   storage is spliced over verbatim (within-row prefixes do not
     ///   depend on other rows), and the dense borders are recomputed in
     ///   the same accumulation order as a fresh
-    ///   [`SparsePrefixSum::build`], so every array matches it
+    ///   [`SparsePrefixSum::try_new`], so every array matches it
     ///   bit-for-bit.
     ///
     /// Overflow (new grand total ≥ 2⁶⁴) and validation errors are
@@ -899,6 +899,44 @@ impl GammaBackend for PrefixSum2D {
     }
 }
 
+impl PrefixSum2D {
+    /// Projects `rect` onto `axis`: fills `out` with `extent + 1`
+    /// prefix loads, `out[i]` being the load of `rect`'s first `i` rows
+    /// ([`Axis::Rows`]) or columns ([`Axis::Cols`]). A query that keeps
+    /// `rect`'s range on the other axis is then one subtraction:
+    /// `out[j] − out[i]` equals the [`load`](Self::load) of lines
+    /// `[lo + i, lo + j)`, bit for bit.
+    ///
+    /// This is how the solvers avoid the sparse backend's per-row scans
+    /// (see [`SparsePrefixSum`] for its costs). On the dense backend it
+    /// is `extent + 1` four-lookup queries.
+    ///
+    /// ```
+    /// use rectpart_core::{Axis, GammaMode, LoadMatrix, PrefixSum2D, Rect};
+    ///
+    /// let m = LoadMatrix::from_fn(6, 6, |r, c| if (r + c) % 3 == 0 { (r + 1) as u32 } else { 0 });
+    /// let pfx = PrefixSum2D::try_new_with(&m, GammaMode::Sparse).unwrap();
+    /// let rect = Rect::new(1, 5, 2, 6);
+    /// let mut cols = Vec::new();
+    /// pfx.project_into(&rect, Axis::Cols, &mut cols);
+    /// assert_eq!(cols.len(), rect.width() + 1);
+    /// assert_eq!(cols[3] - cols[1], pfx.load(&Rect::new(1, 5, 3, 5)));
+    /// ```
+    pub fn project_into(&self, rect: &Rect, axis: Axis, out: &mut Vec<u64>) {
+        match &self.repr {
+            Repr::Sparse(s) => s.project(rect, axis, out),
+            Repr::Dense(_) => {
+                let Rect { r0, r1, c0, c1 } = *rect;
+                out.clear();
+                match axis {
+                    Axis::Rows => out.extend((r0..=r1).map(|r| self.load4(r0, r, c0, c1))),
+                    Axis::Cols => out.extend((c0..=c1).map(|c| self.load4(r0, r1, c0, c))),
+                }
+            }
+        }
+    }
+}
+
 /// A zero-cost re-orientation of a [`PrefixSum2D`]: algorithms written for
 /// "main × auxiliary" coordinates work on either orientation (the paper's
 /// `-HOR`/`-VER` variants) through this adapter.
@@ -950,6 +988,61 @@ impl<'a> View<'a> {
             Axis::Rows => Rect::new(m0, m1, a0, a1),
             Axis::Cols => Rect::new(a0, a1, m0, m1),
         }
+    }
+
+    /// The additive cost oracle of main stripe `[s0, s1)` over the
+    /// auxiliary dimension — `cost(a, b) == self.load(s0, s1, a, b)` —
+    /// for the 1D solves that cut stripes.
+    ///
+    /// The stripe is projected once ([`PrefixSum2D::project_into`]) and
+    /// each query is one subtraction. A 1D solve asks `n_aux` unit
+    /// queries for its lower bound alone, so on dense Γ the projection's
+    /// `n_aux + 1` four-lookup queries cost no more than querying Γ, and
+    /// on sparse Γ, where a query scans every row in range, it is the
+    /// difference between one pass over the stripe and one per query.
+    ///
+    /// ```
+    /// use rectpart_core::{Axis, GammaMode, LoadMatrix, PrefixSum2D};
+    /// use rectpart_onedim::IntervalCost;
+    ///
+    /// let m = LoadMatrix::from_fn(5, 7, |r, c| if c % 2 == 0 { (r + c) as u32 } else { 0 });
+    /// let pfx = PrefixSum2D::try_new_with(&m, GammaMode::Sparse).unwrap();
+    /// let view = pfx.view(Axis::Cols);
+    /// let cost = view.stripe_cost(2, 5);
+    /// assert_eq!(cost.len(), view.n_aux());
+    /// assert_eq!(cost.cost(1, 4), view.load(2, 5, 1, 4));
+    /// ```
+    pub fn stripe_cost(&self, s0: usize, s1: usize) -> StripeCost {
+        let mut prefix = Vec::new();
+        let stripe = self.rect(s0, s1, 0, self.n_aux());
+        self.pfx
+            .project_into(&stripe, self.axis.flip(), &mut prefix);
+        StripeCost { prefix }
+    }
+}
+
+/// The interval cost of one stripe over the auxiliary dimension, made
+/// by [`View::stripe_cost`]: the stripe's `len + 1` prefix loads.
+#[derive(Clone, Debug)]
+pub struct StripeCost {
+    prefix: Vec<u64>,
+}
+
+impl rectpart_onedim::IntervalCost for StripeCost {
+    fn len(&self) -> usize {
+        self.prefix.len().saturating_sub(1)
+    }
+
+    #[inline]
+    fn cost(&self, lo: usize, hi: usize) -> u64 {
+        debug_assert!(lo <= hi && hi < self.prefix.len());
+        // lint:allow(panic-reach) -- API contract (debug_assert
+        // above): lo <= hi <= len, and prefix holds len + 1 entries
+        self.prefix[hi] - self.prefix[lo]
+    }
+
+    fn additive(&self) -> bool {
+        true
     }
 }
 

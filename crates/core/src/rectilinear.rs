@@ -7,7 +7,7 @@
 //!   max-over-stripes interval cost, alternating until the grid stops
 //!   improving.
 
-use rectpart_onedim::{nicol_in, Cuts, FnCost, SolveScratch};
+use rectpart_onedim::{nicol_in, Cuts, FnCost, IntervalCost, SolveScratch};
 
 use crate::cancel::Checker;
 use crate::error::RectpartError;
@@ -100,8 +100,11 @@ impl RectNicol {
         // Start from the optimal 1D partition of the row projection.
         let row_proj = FnCost::additive(pfx.rows(), |a, b| pfx.load4(a, b, 0, pfx.cols()));
         let mut rows = nicol_in(&row_proj, p, &mut scratch).cuts;
-        let mut cols = refine(pfx, &rows, Axis::Cols, q, &mut scratch).cuts;
-        let mut best = grid_lmax(pfx, &rows, &cols);
+        // A refinement's bottleneck is the Lmax of the grid it completes:
+        // its cost is the max over the fixed stripes.
+        let first = refine(pfx, &rows, Axis::Cols, q, &mut scratch);
+        let mut cols = first.cuts;
+        let mut best = first.bottleneck;
         let mut iterations = 1; // the initial row+column refinement
         rectpart_obs::incr(rectpart_obs::Counter::RectNicolRefineIters);
         rectpart_obs::trace_point(rectpart_obs::TraceId::RectNicolLmax, 0, 0, best);
@@ -110,7 +113,7 @@ impl RectNicol {
             check.check()?;
             let new_rows = refine(pfx, &cols, Axis::Rows, p, &mut scratch);
             let new_cols = refine(pfx, &new_rows.cuts, Axis::Cols, q, &mut scratch);
-            let lmax = grid_lmax(pfx, &new_rows.cuts, &new_cols.cuts);
+            let lmax = new_cols.bottleneck;
             iterations += 1;
             rectpart_obs::incr(rectpart_obs::Counter::RectNicolRefineIters);
             rectpart_obs::trace_point(
@@ -155,13 +158,13 @@ impl Partitioner for RectNicol {
 /// against the fixed stripes of the other dimension, under the
 /// max-over-stripes interval cost.
 ///
-/// Each fixed stripe's projection onto the refined dimension is
-/// materialized as a 1D prefix array up front — the per-stripe builds are
-/// independent and fan out across worker threads — so every cost query
-/// inside Nicol's search is a max over plain array differences instead of
-/// `stripes` four-corner Γ lookups. The prefix differences are exactly
-/// the `load4` values (both subtract the same Γ entries), so the refined
-/// cuts are bit-identical to the direct evaluation.
+/// Every query of that cost reads every stripe, so each fixed stripe is
+/// projected onto the refined dimension once, up front
+/// ([`View::stripe_cost`](crate::View::stripe_cost); the builds are
+/// independent and fan out across worker threads), and a query is a max
+/// over plain array differences. They are exactly the `load4` values, so
+/// the refined cuts are bit-identical to a direct evaluation on either
+/// backend.
 fn refine(
     pfx: &PrefixSum2D,
     fixed: &Cuts,
@@ -171,40 +174,12 @@ fn refine(
 ) -> rectpart_onedim::OneDimResult {
     let _span = rectpart_obs::span::enter(rectpart_obs::span::SpanKind::RectNicolRefine);
     let stripes: Vec<(usize, usize)> = fixed.intervals().filter(|(a, b)| a < b).collect();
-    let n = match refined_axis {
-        Axis::Rows => pfx.rows(),
-        Axis::Cols => pfx.cols(),
-    };
-    let stripe_prefix: Vec<Vec<u64>> = rectpart_parallel::map_slice(&stripes, |&(s0, s1)| {
-        (0..=n)
-            .map(|i| match refined_axis {
-                Axis::Rows => pfx.load4(0, i, s0, s1),
-                Axis::Cols => pfx.load4(s0, s1, 0, i),
-            })
-            .collect()
-    });
-    let cost = FnCost::new(n, move |a, b| {
-        stripe_prefix.iter().map(|p| p[b] - p[a]).max().unwrap_or(0)
+    let view = pfx.view(refined_axis.flip());
+    let stripes = rectpart_parallel::map_slice(&stripes, |&(s0, s1)| view.stripe_cost(s0, s1));
+    let cost = FnCost::new(view.n_aux(), move |a, b| {
+        stripes.iter().map(|s| s.cost(a, b)).max().unwrap_or(0)
     });
     nicol_in(&cost, parts, scratch)
-}
-
-/// Bottleneck of the rectilinear grid defined by the two cut sets. The
-/// row stripes are scanned on separate tasks; `max` is order-independent,
-/// so the result matches the serial double loop exactly.
-fn grid_lmax(pfx: &PrefixSum2D, rows: &Cuts, cols: &Cuts) -> u64 {
-    let row_ivs: Vec<(usize, usize)> = rows.intervals().collect();
-    let col_ivs: Vec<(usize, usize)> = cols.intervals().collect();
-    rectpart_parallel::map_slice(&row_ivs, |&(r0, r1)| {
-        col_ivs
-            .iter()
-            .map(|&(c0, c1)| pfx.load4(r0, r1, c0, c1))
-            .max()
-            .unwrap_or(0)
-    })
-    .into_iter()
-    .max()
-    .unwrap_or(0)
 }
 
 fn grid_rects(rows: &Cuts, cols: &Cuts) -> Vec<Rect> {
@@ -301,6 +276,11 @@ mod tests {
         assert!(p.validate(&pfx).is_ok());
     }
 
+    /// Lmax of the grid `rows × cols`, one Γ query per cell.
+    fn grid_lmax(pfx: &PrefixSum2D, rows: &Cuts, cols: &Cuts) -> u64 {
+        Partition::new(grid_rects(rows, cols)).lmax(pfx)
+    }
+
     #[test]
     fn refine_respects_stripe_maximum() {
         // Two stripes with loads concentrated in different columns: the
@@ -313,6 +293,44 @@ mod tests {
         // max over stripes.
         assert_eq!(r.bottleneck, grid_lmax(&pfx, &rows, &r.cuts));
         assert!(r.bottleneck <= 12);
+    }
+
+    /// The refinement loop reads each grid's Lmax off the refine that
+    /// completed it; that must be the grid's Lmax, on both backends,
+    /// with empty fixed stripes and zero-heavy loads.
+    #[test]
+    fn refine_bottleneck_is_the_grid_lmax() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for seed in 0..6u64 {
+            let (rows, cols) = (rng.gen_range(1..40), rng.gen_range(1..40));
+            let zeros = rng.gen_range(0..100);
+            let mat = LoadMatrix::from_fn(rows, cols, |_, _| {
+                if rng.gen_range(0..100) < zeros {
+                    0
+                } else {
+                    rng.gen_range(1..50)
+                }
+            });
+            for mode in [crate::GammaMode::Dense, crate::GammaMode::Sparse] {
+                let pfx = PrefixSum2D::try_new_with(&mat, mode).unwrap();
+                for (p, q) in [(1, 1), (2, 3), (5, 4), (9, 2)] {
+                    let fixed = Cuts::uniform(rows, p);
+                    let r = refine(&pfx, &fixed, Axis::Cols, q, &mut SolveScratch::new());
+                    assert_eq!(
+                        r.bottleneck,
+                        grid_lmax(&pfx, &fixed, &r.cuts),
+                        "seed={seed} {mode:?} {p}x{q}"
+                    );
+                    let fixed = Cuts::uniform(cols, q);
+                    let r = refine(&pfx, &fixed, Axis::Rows, p, &mut SolveScratch::new());
+                    assert_eq!(
+                        r.bottleneck,
+                        grid_lmax(&pfx, &r.cuts, &fixed),
+                        "seed={seed} {mode:?} {p}x{q}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2,22 +2,22 @@
 //!
 //! Dense Γ spends `8·(rows+1)·(cols+1)` bytes no matter how many cells
 //! are zero; the SLAC-style projected meshes of the paper's experiments
-//! are mostly zeros, and *Rectangle Tiling Binary Arrays* (arXiv
-//! 2007.14142) shows how much structure that sparsity carries. A
-//! [`SparsePrefixSum`] stores, per row, only the maximal **runs** of
-//! consecutive nonzero cells, each cell carrying its within-row
-//! cumulative prefix. A rectangle query sums per-row run lookups; the
-//! two common degenerate shapes — full-width stripes (the main-dimension
-//! projection every jagged solver cuts first) and full-height stripes —
-//! are answered in O(1) from dense per-row / per-column prefix borders.
+//! are mostly zeros (*Rectangle Tiling Binary Arrays*, arXiv 2007.14142).
+//! A [`SparsePrefixSum`] stores, per row, only the maximal **runs** of
+//! consecutive nonzero cells, each cell carrying its within-row prefix.
+//! Full-width and full-height queries are O(1) from dense row/column
+//! prefix borders; any other query sums one within-row lookup pair per
+//! row in range, O(rows · log runs-per-row). So the stripe and HIER
+//! solvers read 1D prefixes ([`project_into`](crate::PrefixSum2D::project_into)),
+//! one built per stripe, or handed down a HIER tree from node to node.
 //!
-//! Queries return **bit-identical** values to the dense backend: both
-//! compute exact `u64` sums of the same non-negative cells. Construction
-//! surfaces overflow as [`RectpartError::Overflow`] under exactly the
-//! same condition as the dense path (the grand total reaching 2⁶⁴), and
-//! honors the same fault-injection gate.
+//! Queries and projections are **bit-identical** to the dense backend:
+//! both add the same non-negative cells exactly in `u64`. Construction
+//! surfaces overflow as [`RectpartError::Overflow`] under the dense
+//! path's condition (the total reaching 2⁶⁴) and honors its fault gate.
 
 use crate::error::RectpartError;
+use crate::geometry::{Axis, Rect};
 use crate::matrix::LoadMatrix;
 use crate::prefix::GammaBackend;
 
@@ -329,28 +329,40 @@ impl SparsePrefixSum {
         self.min_cell
     }
 
-    /// Sum of row `r`'s cells in columns `< c` — the within-row prefix.
-    /// O(log runs-in-row) by binary search on run starts.
+    /// Row `r`'s load in columns `[c0, c1)`: two within-row prefix
+    /// lookups, O(log runs-in-row) by binary search on run starts.
     #[inline]
-    fn rowpfx(&self, r: usize, c: usize) -> u64 {
-        let lo = self.row_ptr[r] as usize;
-        let hi = self.row_ptr[r + 1] as usize;
-        // Last run starting before column c, if any.
-        let k = self.run_col0[lo..hi].partition_point(|&c0| (c0 as usize) < c);
-        if k == 0 {
+    fn row_load(&self, r: usize, c0: usize, c1: usize) -> u64 {
+        let (starts, bounds) = self.row_runs(r);
+        if starts.is_empty() {
             return 0;
         }
-        let i = lo + k - 1;
-        let start = self.run_col0[i] as usize;
-        let v0 = self.run_val0[i] as usize;
-        let v1 = self.run_val0[i + 1] as usize;
-        if c >= start + (v1 - v0) {
-            // The whole run lies left of c.
-            self.vals[v1 - 1]
-        } else {
-            // Run straddles c; c > start because run starts are < c.
-            self.vals[v0 + (c - start) - 1]
+        self.locate(starts, bounds, c1).1 - self.locate(starts, bounds, c0).1
+    }
+
+    /// Finds column `c` among one row's runs (as [`row_runs`](Self::row_runs)
+    /// returns them): the number of runs starting before `c`, and the
+    /// row's prefix left of `c`.
+    #[inline]
+    fn locate(&self, starts: &[u32], bounds: &[u32], c: usize) -> (usize, u64) {
+        if c == 0 {
+            return (0, 0);
         }
+        let k = starts.partition_point(|&c0| (c0 as usize) < c);
+        // The last run starting before c, if any, holds the prefix.
+        let Some(i) = k.checked_sub(1) else {
+            return (0, 0);
+        };
+        let (Some(&start), Some(&[v0, v1])) = (starts.get(i), bounds.get(i..i + 2)) else {
+            return (k, 0);
+        };
+        // The run's cells left of c: all of them, or the first c − start
+        // when the run straddles c (c > start because run starts are < c).
+        let left = (c - start as usize).min((v1 - v0) as usize);
+        (
+            k,
+            self.vals.get(v0 as usize + left - 1).copied().unwrap_or(0),
+        )
     }
 
     /// Load of rows `[r0, r1)` × cols `[c0, c1)`.
@@ -361,20 +373,26 @@ impl SparsePrefixSum {
     #[inline]
     pub fn sum4(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> u64 {
         debug_assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols);
+        let border = |pfx: &[u64], lo: usize, hi: usize| match (pfx.get(lo), pfx.get(hi)) {
+            (Some(&l), Some(&h)) => h - l,
+            _ => 0,
+        };
         if c0 == 0 && c1 == self.cols {
-            return self.row_pfx[r1] - self.row_pfx[r0];
+            return border(&self.row_pfx, r0, r1);
         }
         if r0 == 0 && r1 == self.rows {
-            return self.col_pfx[c1] - self.col_pfx[c0];
+            return border(&self.col_pfx, c0, c1);
         }
-        let mut acc = 0u64;
-        for r in r0..r1 {
-            if self.row_ptr[r] == self.row_ptr[r + 1] {
-                continue; // empty row
-            }
-            acc += self.rowpfx(r, c1) - self.rowpfx(r, c0);
-        }
-        acc
+        self.scan_rows(r0, r1, c0, c1)
+    }
+
+    /// The rows scan of [`sum4`](Self::sum4), kept out of line: inlined,
+    /// it bloats every `PrefixSum2D::load4` call site, and the dense
+    /// query loops paid for it (dense HIER and JAG-PQ-OPT solves ran
+    /// 12–22% slower than with this call in alternating runs).
+    #[inline(never)]
+    fn scan_rows(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> u64 {
+        (r0..r1).map(|r| self.row_load(r, c0, c1)).sum()
     }
 
     /// Heap bytes held by the sparse representation (the Γ memory the
@@ -386,6 +404,111 @@ impl SparsePrefixSum {
             + self.vals.len() * 8
             + self.row_pfx.len() * 8
             + self.col_pfx.len() * 8
+    }
+
+    /// Row `r`'s runs: their first columns, and the `runs + 1` offsets
+    /// into `vals` that bound them. Both empty when `r` is out of range.
+    fn row_runs(&self, r: usize) -> (&[u32], &[u32]) {
+        let (Some(&lo), Some(&hi)) = (self.row_ptr.get(r), self.row_ptr.get(r + 1)) else {
+            return (&[], &[]);
+        };
+        let (lo, hi) = (lo as usize, hi as usize);
+        (
+            self.run_col0.get(lo..hi).unwrap_or(&[]),
+            self.run_val0.get(lo..=hi).unwrap_or(&[]),
+        )
+    }
+
+    /// Fills `out` with the prefix of `rect`'s per-line loads along
+    /// `onto`: `out[i]` is the load of the first `i` rows
+    /// ([`Axis::Rows`]) or columns ([`Axis::Cols`]) of `rect`, so one
+    /// subtraction answers any query whose other range is `rect`'s.
+    ///
+    /// * Full-width onto rows, or full-height onto columns: a slice of
+    ///   the dense border, O(extent).
+    /// * Onto rows: one within-row prefix difference per row,
+    ///   O(h · log runs-per-row).
+    /// * Onto columns: walks the runs that overlap `rect`, recovering
+    ///   cell values from within-row prefix differences as
+    ///   [`patched_rows`](Self::patched_rows) does, O(h · log
+    ///   runs-per-row + nonzeros in `rect` + w).
+    ///
+    /// Every entry is an exact sum of the cells [`sum4`](Self::sum4)
+    /// would add, bounded by the grand total, so differences are
+    /// bit-identical to `sum4` answers.
+    pub(crate) fn project(&self, rect: &Rect, onto: Axis, out: &mut Vec<u64>) {
+        out.clear();
+        let border = match onto {
+            Axis::Rows if rect.c0 == 0 && rect.c1 == self.cols => {
+                self.row_pfx.get(rect.r0..=rect.r1)
+            }
+            Axis::Cols if rect.r0 == 0 && rect.r1 == self.rows => {
+                self.col_pfx.get(rect.c0..=rect.c1)
+            }
+            _ => None,
+        };
+        if let Some(border) = border {
+            let base = border.first().copied().unwrap_or(0);
+            out.extend(border.iter().map(|&v| v - base));
+            return;
+        }
+        out.push(0);
+        match onto {
+            Axis::Rows => {
+                let mut acc = 0u64;
+                for r in rect.r0..rect.r1 {
+                    acc += self.row_load(r, rect.c0, rect.c1);
+                    out.push(acc);
+                }
+            }
+            Axis::Cols => {
+                out.resize(rect.width() + 1, 0);
+                if let Some((_, cols)) = out.split_first_mut() {
+                    for r in rect.r0..rect.r1 {
+                        self.add_row_cells(r, rect.c0, rect.c1, cols);
+                    }
+                }
+                let mut acc = 0u64;
+                for v in out.iter_mut() {
+                    acc += *v;
+                    *v = acc;
+                }
+            }
+        }
+    }
+
+    /// Adds row `r`'s cells in columns `[c0, c1)` to `dst`, whose entry
+    /// `j` accumulates column `c0 + j`.
+    fn add_row_cells(&self, r: usize, c0: usize, c1: usize, dst: &mut [u64]) {
+        let (starts, bounds) = self.row_runs(r);
+        // `prev` is the within-row prefix left of the next cell to add: a
+        // cell's value is its prefix minus it (zeros add nothing). Runs
+        // before the last one starting before c0 end before c0.
+        let (k, mut prev) = self.locate(starts, bounds, c0);
+        let first = k.saturating_sub(1);
+        let (Some(starts), Some(bounds)) = (starts.get(first..), bounds.get(first..)) else {
+            return;
+        };
+        for (&s, b) in starts.iter().zip(bounds.windows(2)) {
+            let s = s as usize;
+            if s >= c1 {
+                break;
+            }
+            // The run's cells in [c0, c1): `skip..take` of its `b[1] − b[0]`.
+            let skip = c0.saturating_sub(s);
+            let take = ((b[1] - b[0]) as usize).min(c1 - s);
+            let v0 = b[0] as usize;
+            let (Some(cells), Some(out)) = (
+                self.vals.get(v0 + skip..v0 + take),
+                dst.get_mut(s + skip - c0..),
+            ) else {
+                continue; // the run ends before c0
+            };
+            for (d, &v) in out.iter_mut().zip(cells) {
+                *d += v - prev;
+                prev = v;
+            }
+        }
     }
 }
 
@@ -466,13 +589,13 @@ mod tests {
         for r0 in 0..20 {
             for r1 in r0..=20 {
                 // full width
-                let generic: u64 = (r0..r1).map(|r| s.rowpfx(r, 30) - s.rowpfx(r, 0)).sum();
+                let generic: u64 = (r0..r1).map(|r| s.row_load(r, 0, 30)).sum();
                 assert_eq!(s.sum4(r0, r1, 0, 30), generic);
             }
         }
         for c0 in 0..30 {
             for c1 in c0..=30 {
-                let generic: u64 = (0..20).map(|r| s.rowpfx(r, c1) - s.rowpfx(r, c0)).sum();
+                let generic: u64 = (0..20).map(|r| s.row_load(r, c0, c1)).sum();
                 assert_eq!(s.sum4(0, 20, c0, c1), generic);
             }
         }

@@ -172,24 +172,75 @@ fn injected_worker_panics_are_output_invariant() {
     assert_eq!(serial.rects(), faulted.rects());
 }
 
-/// The Γ backend is a pure representation choice: every partitioner
-/// must produce the same rectangles whether queries are answered from
-/// the dense table or the CSR-like sparse structure, at one thread and
-/// at many. This is the contract that lets `--gamma auto` flip the
-/// backend on sparse instances without changing any answer.
-#[test]
-fn sparse_backend_solutions_are_bit_identical_to_dense() {
-    use rectpart_core::GammaMode;
-    for seed in 0..2u64 {
-        // ≥90%-zero instance, the regime where auto mode picks sparse.
+/// Inputs of the backend differential: random fills at 92% and 77%
+/// zeros (both above the Auto threshold) and the degenerate shapes on
+/// which the sparse projections have edge cases — a single row or
+/// column, an all-zero row and column, one hot cell, no load at all.
+fn backend_instances() -> Vec<(String, LoadMatrix)> {
+    let mut out = Vec::new();
+    for (seed, zero_p) in [(0u64, 0.92), (1, 0.92), (2, 0.77)] {
         let mut rng = StdRng::seed_from_u64(0x5AA5 + seed);
         let mat = LoadMatrix::from_fn(41, 37, |_, _| {
-            if rng.gen_bool(0.92) {
+            if rng.gen_bool(zero_p) {
                 0
             } else {
                 rng.gen_range(1..50)
             }
         });
+        out.push((format!("random {zero_p} zeros, seed {seed}"), mat));
+    }
+    let line = |i: usize| ((i * 7) % 5) as u32 * 3;
+    out.push(("1x40".into(), LoadMatrix::from_fn(1, 40, |_, c| line(c))));
+    out.push(("40x1".into(), LoadMatrix::from_fn(40, 1, |r, _| line(r))));
+    out.push((
+        "zero row and column".into(),
+        LoadMatrix::from_fn(20, 18, |r, c| {
+            if r == 7 || c == 5 {
+                0
+            } else {
+                ((r * 31 + c * 17) % 11) as u32
+            }
+        }),
+    ));
+    let mut hot = LoadMatrix::zeros(24, 19);
+    *hot.get_mut(13, 4) = 1000;
+    out.push(("single hot cell".into(), hot));
+    out.push(("all zero".into(), LoadMatrix::zeros(16, 12)));
+    out
+}
+
+/// The Γ backend is a pure representation choice: every partitioner
+/// must produce the same rectangles whether queries are answered from
+/// the dense table or the CSR-like sparse structure (whose stripe and
+/// hierarchical solves run on projections), through `partition` and
+/// through the `try_partition` path the CLI, driver and engine call, at
+/// one thread and at many. This is the contract that lets `--gamma
+/// auto` flip the backend on sparse instances without changing any
+/// answer.
+#[test]
+fn sparse_backend_solutions_are_bit_identical_to_dense() {
+    use rectpart_core::{GammaMode, HierVariant};
+    let mut algos: Vec<Box<dyn Partitioner>> = vec![
+        Box::new(RectUniform::default()),
+        Box::new(RectNicol::default()),
+        Box::new(JagMHeur::best()),
+        Box::new(JagPqHeur::best()),
+        Box::new(JagMOpt::default()),
+        Box::new(JagPqOpt::default()),
+    ];
+    for variant in [
+        HierVariant::Load,
+        HierVariant::Dist,
+        HierVariant::Hor,
+        HierVariant::Ver,
+    ] {
+        algos.push(Box::new(HierRb { variant }));
+        algos.push(Box::new(HierRelaxed {
+            variant,
+            ..HierRelaxed::default()
+        }));
+    }
+    for (name, mat) in backend_instances() {
         let dense = PrefixSum2D::try_new_with(&mat, GammaMode::Dense).unwrap();
         let sparse = PrefixSum2D::try_new_with(&mat, GammaMode::Sparse).unwrap();
         assert!(!dense.is_sparse());
@@ -200,25 +251,23 @@ fn sparse_backend_solutions_are_bit_identical_to_dense() {
         assert_eq!(dense.total(), sparse.total());
         assert_eq!(dense.max_cell(), sparse.max_cell());
         assert_eq!(dense.min_cell(), sparse.min_cell());
-        let algos: Vec<Box<dyn Partitioner>> = vec![
-            Box::new(RectUniform::default()),
-            Box::new(RectNicol::default()),
-            Box::new(JagMHeur::best()),
-            Box::new(JagPqHeur::best()),
-            Box::new(JagMOpt::default()),
-            Box::new(HierRb::load()),
-            Box::new(HierRelaxed::load()),
-        ];
         for algo in &algos {
-            for m in [4, 9, 16] {
+            for m in [4, 9, 16, 64] {
                 for threads in [1, 4] {
+                    let label = format!("{} on {name} m={m} threads={threads}", algo.name());
                     let d: Partition = with_threads(threads, || algo.partition(&dense, m));
                     let s: Partition = with_threads(threads, || algo.partition(&sparse, m));
                     assert_eq!(
                         d.rects(),
                         s.rects(),
-                        "{} m={m} threads={threads}: sparse backend diverged from dense",
-                        algo.name()
+                        "{label}: sparse backend diverged from dense"
+                    );
+                    let d = with_threads(threads, || algo.try_partition(&dense, m)).unwrap();
+                    let s = with_threads(threads, || algo.try_partition(&sparse, m)).unwrap();
+                    assert_eq!(
+                        d.rects(),
+                        s.rects(),
+                        "{label}: sparse try_partition diverged from dense"
                     );
                 }
             }

@@ -2,14 +2,19 @@
 //! zero density, including all-zero and fully dense), the CSR-like
 //! [`SparsePrefixSum`] must answer every rectangle query with exactly
 //! the value the dense prefix-sum table produces, and the facade's
-//! metadata (total, extrema) must agree. The overflow path is pinned
+//! metadata (total, extrema) must agree, and so must the projections
+//! the solvers read instead of per-step queries (`View::stripe_cost`,
+//! `PrefixSum2D::project_into`). The overflow path is pinned
 //! separately via fault injection: forced Γ overflow must surface as
 //! `RectpartError::Overflow` from the sparse constructor too, never as
 //! a wrong answer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rectpart_core::{GammaBackend, GammaMode, LoadMatrix, PrefixSum2D, SparsePrefixSum};
+use rectpart_core::{
+    Axis, GammaBackend, GammaMode, LoadMatrix, PrefixSum2D, Rect, SparsePrefixSum,
+};
+use rectpart_onedim::{FnCost, IntervalCost};
 
 /// Matrix dimensions plus a flat cell vector with a tunable zero bias:
 /// `density_sel` drives the fraction of nonzero cells from ~2% to ~100%.
@@ -80,6 +85,94 @@ proptest! {
         for c in 0..cols {
             prop_assert_eq!(sparse.load4(0, rows, c, cols), dense.load4(0, rows, c, cols));
             prop_assert_eq!(sparse.load4(0, rows, 0, c + 1), dense.load4(0, rows, 0, c + 1));
+        }
+    }
+}
+
+/// Orders two picks into a half-open range `[lo, hi)` of `0..=n`; empty
+/// when the picks coincide modulo `n + 1`.
+fn range(a: usize, b: usize, n: usize) -> (usize, usize) {
+    let (a, b) = (a % (n + 1), b % (n + 1));
+    (a.min(b), a.max(b))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `View::stripe_cost` is the solvers' 1D oracle for one stripe: on
+    /// both backends and both orientations it must answer every
+    /// `[a, b)` exactly like `view.load` — empty stripes included — and
+    /// report the same `max_unit_cost` and additivity as the
+    /// `FnCost::additive` closure over `view.load` it replaces.
+    #[test]
+    fn stripe_cost_matches_view_load(
+        shape in arb_matrix(),
+        picks in vec((0usize..25, 0usize..25), 6),
+    ) {
+        let (rows, cols, cells) = shape;
+        let m = matrix_from(rows, cols, &cells);
+        for mode in [GammaMode::Dense, GammaMode::Sparse] {
+            let pfx = PrefixSum2D::try_new_with(&m, mode).unwrap();
+            for axis in [Axis::Rows, Axis::Cols] {
+                let view = pfx.view(axis);
+                let (n_main, n_aux) = (view.n_main(), view.n_aux());
+                let mut stripes: Vec<(usize, usize)> =
+                    picks.iter().map(|&(a, b)| range(a, b, n_main)).collect();
+                stripes.extend([(0, 0), (n_main, n_main), (0, n_main)]);
+                for (s0, s1) in stripes {
+                    let reference = FnCost::additive(n_aux, |a, b| view.load(s0, s1, a, b));
+                    let cost = view.stripe_cost(s0, s1);
+                    prop_assert_eq!(cost.len(), n_aux);
+                    prop_assert_eq!(cost.additive(), reference.additive());
+                    prop_assert_eq!(cost.max_unit_cost(), reference.max_unit_cost());
+                    for a in 0..=n_aux {
+                        for b in a..=n_aux {
+                            prop_assert_eq!(
+                                cost.cost(a, b),
+                                view.load(s0, s1, a, b),
+                                "{:?} {:?} stripe [{},{}) [{},{})", mode, axis, s0, s1, a, b
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The hierarchical solvers' node projection: for a sub-rectangle
+    /// and either axis, `project_into` holds `extent + 1` prefix loads
+    /// whose differences are exactly `pfx.load` of the sub-ranges.
+    #[test]
+    fn node_projection_matches_load(
+        shape in arb_matrix(),
+        rects in vec((0usize..25, 0usize..25, 0usize..25, 0usize..25), 8),
+    ) {
+        let (rows, cols, cells) = shape;
+        let m = matrix_from(rows, cols, &cells);
+        for mode in [GammaMode::Dense, GammaMode::Sparse] {
+            let pfx = PrefixSum2D::try_new_with(&m, mode).unwrap();
+            let mut out = Vec::new();
+            for &(a, b, c, d) in &rects {
+                let (r0, r1) = range(a, b, rows);
+                let (c0, c1) = range(c, d, cols);
+                let rect = Rect::new(r0, r1, c0, c1);
+                for axis in [Axis::Rows, Axis::Cols] {
+                    pfx.project_into(&rect, axis, &mut out);
+                    let (lo, hi) = rect.extent(axis);
+                    prop_assert_eq!(out.len(), hi - lo + 1);
+                    prop_assert_eq!(out[0], 0);
+                    for i in lo..=hi {
+                        for j in i..=hi {
+                            let sub = rect.split(axis, i).1.split(axis, j).0;
+                            prop_assert_eq!(
+                                out[j - lo] - out[i - lo],
+                                pfx.load(&sub),
+                                "{:?} {:?} {:?} lines [{},{})", mode, rect, axis, i, j
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! that respects the global lower bounds, on every workload class the
 //! paper evaluates.
 
-use rectpart::core::{standard_heuristics, JagMOpt, JagPqOpt, Partitioner, PrefixSum2D};
+use rectpart::core::{standard_heuristics, GammaMode, JagMOpt, JagPqOpt, Partitioner, PrefixSum2D};
 use rectpart::prelude::*;
 use rectpart::workloads::{AmrConfig, MeshConfig, MeshKind};
 
@@ -52,6 +52,27 @@ fn workload_zoo() -> Vec<(String, rectpart::core::LoadMatrix)> {
     let trace = rectpart::workloads::pic_trace(&pic);
     zoo.push(("pic".into(), trace.last().unwrap().matrix.clone()));
     zoo
+}
+
+/// The Γ backend is a representation choice, never an answer: on every
+/// zoo instance — the zero-heavy `mesh` and `pic` ones included — each
+/// heuristic returns the same rectangles from the sparse Γ, where the
+/// stripe and hierarchical solves run on projections, as from the
+/// dense one.
+#[test]
+fn every_heuristic_answers_identically_on_both_gamma_backends() {
+    for (name, matrix) in workload_zoo() {
+        let dense = PrefixSum2D::try_new_with(&matrix, GammaMode::Dense).unwrap();
+        let sparse = PrefixSum2D::try_new_with(&matrix, GammaMode::Sparse).unwrap();
+        assert!(sparse.is_sparse(), "{name}: sparse mode must engage");
+        for algo in standard_heuristics() {
+            for m in [1, 2, 7, 16, 25, 60] {
+                let d = algo.try_partition(&dense, m).unwrap();
+                let s = algo.try_partition(&sparse, m).unwrap();
+                assert_eq!(d.rects(), s.rects(), "{} on {name} m={m}", algo.name());
+            }
+        }
+    }
 }
 
 #[test]

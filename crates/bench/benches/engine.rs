@@ -19,13 +19,13 @@
 //! inline); the warm path must spend strictly fewer Γ builds and
 //! strictly fewer work units (also asserted, when instrumented). Two
 //! series run, one per Γ backend, so the dense sweep-patch and the
-//! sparse row-splice are both priced. Wall-clock timings of the same
-//! replays ride along via criterion and feed a derived requests/sec
-//! figure. Results land in `BENCH_engine.json` at the workspace root;
-//! counter fields require `--features obs` (the uninstrumented run
-//! still writes timings, with `"instrumented": false`).
+//! sparse row-splice are both priced. Results land in
+//! `BENCH_engine.json` at the workspace root, which CI gates with
+//! `benchdiff`; counter fields require `--features obs` (the
+//! uninstrumented run writes them as zero, with `"instrumented":
+//! false`). Wall-clock serving time is measured by `e2ebench/`'s
+//! `pic-serve` workload.
 
-use criterion::{black_box, Criterion};
 use rectpart_core::{GammaMode, LoadMatrix, Partition, RowUpdate};
 use rectpart_engine::{Engine, EngineConfig, Query, RebalancePolicy};
 use rectpart_json::{Json, ToJson};
@@ -193,7 +193,7 @@ fn serve_series(label: &str, mode: GammaMode, cfg: &PicConfig, instrumented: boo
 
     Json::obj(vec![
         ("case", label.to_json()),
-        ("gamma_mode", mode_name(mode).to_json()),
+        ("gamma_mode", mode.as_str().to_json()),
         ("algorithm", ALGO.to_json()),
         ("m", M.to_json()),
         ("rows", cfg.rows.to_json()),
@@ -221,49 +221,15 @@ fn serve_series(label: &str, mode: GammaMode, cfg: &PicConfig, instrumented: boo
     ])
 }
 
-fn mode_name(mode: GammaMode) -> &'static str {
-    match mode {
-        GammaMode::Dense => "dense",
-        GammaMode::Sparse => "sparse",
-        GammaMode::Auto => "auto",
-    }
-}
-
-/// Wall-clock replays of both paths (dense backend) for local
-/// before/after comparisons and the derived requests/sec figure.
-fn bench_serving(c: &mut Criterion, cfg: &PicConfig) {
-    let trace = pic_trace(cfg);
-    let deltas: Vec<Vec<RowUpdate>> = trace
-        .windows(2)
-        .map(|w| row_deltas(&w[0].matrix, &w[1].matrix))
-        .collect();
-    let mut g = c.benchmark_group("engine-serve");
-    g.sample_size(10);
-    let n = trace.len();
-    g.bench_function(format!("cold/pic-64x64-{n}snap"), |b| {
-        b.iter(|| with_threads(1, || run_cold(black_box(&trace), GammaMode::Dense)))
-    });
-    g.bench_function(format!("warm/pic-64x64-{n}snap"), |b| {
-        b.iter(|| {
-            with_threads(1, || {
-                run_warm(black_box(&trace), black_box(&deltas), GammaMode::Dense)
-            })
-        })
-    });
-    g.finish();
-}
-
 fn num_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn main() {
-    let mut c = Criterion::default().configure_from_args();
     let dense_cfg = series_config(4, 11);
     // Zero background load: cells without particles stay 0, so the
     // sparse backend's run encoding (and its row-splice patch) engages.
     let sparse_cfg = series_config(0, 11);
-    bench_serving(&mut c, &dense_cfg);
 
     let instrumented = rectpart_obs::Recorder::global().enabled();
     let series = vec![
@@ -281,26 +247,6 @@ fn main() {
         ),
     ];
 
-    let timings: Vec<Json> = c
-        .results()
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("id", r.id.to_json()),
-                ("mean_ns", r.mean_ns.to_json()),
-            ])
-        })
-        .collect();
-    // Queries served per wall-clock second by the warm replay (one
-    // solve per snapshot; delta patching included). Wall clock, so only
-    // comparable on the same machine.
-    let queries = series_config(4, 11).snapshots as f64;
-    let warm_rps = c
-        .results()
-        .iter()
-        .find(|r| r.id.starts_with("engine-serve/warm"))
-        .map_or(Json::Null, |r| (queries / (r.mean_ns / 1e9)).to_json());
-
     let doc = Json::obj(vec![
         ("benchmark", "engine-serving".to_json()),
         ("host_cores", num_cores().to_json()),
@@ -311,15 +257,11 @@ fn main() {
             "cold/warm figures are deterministic obs counters measured \
              under a single-thread budget (identical on every host); \
              each series entry tags the Γ backend it ran under in its \
-             own gamma_mode field. Timings are wall clock and only \
-             comparable on the same machine — on a single-core host \
-             read them against host_cores. Counter fields are zero \
-             unless built with --features obs."
+             own gamma_mode field. Counter fields are zero unless built \
+             with --features obs."
                 .to_json(),
         ),
         ("series", Json::Arr(series)),
-        ("warm_requests_per_sec", warm_rps),
-        ("timings", Json::Arr(timings)),
     ]);
     let path = format!("{}/../../BENCH_engine.json", env!("CARGO_MANIFEST_DIR"));
     std::fs::write(&path, rectpart_json::to_string_pretty(&doc)).expect("write bench export");

@@ -1,14 +1,14 @@
-//! Substrate speed benchmark: blocked vs per-cell-checked Γ
-//! construction, dense vs CSR-like sparse backends, and scratch-arena
-//! reuse in the DP hot loops, with a machine-readable export.
+//! Substrate benchmark: the dense Γ build's overflow checks, dense vs
+//! CSR-like sparse Γ memory, and scratch-arena reuse in the DP hot
+//! loops, with a machine-readable export.
 //!
 //! Three questions, answered with deterministic obs counters (not wall
 //! clock, so the numbers are comparable across machines):
 //!
-//! 1. How many checked-add operations does the blocked Γ build spend
-//!    against the old per-cell reference build on a 4096×4096 dense
-//!    instance? (The tiling hoists overflow checks to tile boundaries;
-//!    the target is a ≥1.5× reduction, the measured one is ~2000×.)
+//! 1. How many checked-add operations does the blocked Γ build spend on
+//!    a 4096×4096 instance? (The tiling hoists overflow checks to tile
+//!    boundaries: one per tile and one per row boundary, where a
+//!    per-cell-checked build spends two per cell.)
 //! 2. How much Γ memory does the sparse backend save on a ≥90%-zero
 //!    instance? (`gamma_bytes` dense vs sparse; target ≥5×.)
 //! 3. How many buffer allocations do the solver hot loops perform per
@@ -16,13 +16,13 @@
 //!    vs ScratchReuses for JAG-M-HEUR, JAG-M-OPT-BEST and RECT-NICOL
 //!    on a dense and a sparse instance.)
 //!
-//! Wall-clock timings of the same builds ride along via criterion for
-//! local before/after comparisons. Results land in
-//! `BENCH_substrate.json` at the workspace root; counter fields require
-//! `--features obs` (the uninstrumented run still writes timings and
-//! memory figures, with `"instrumented": false`).
+//! Results land in `BENCH_substrate.json` at the workspace root, which
+//! CI gates with `benchdiff`; counter fields require `--features obs`
+//! (the uninstrumented run still writes the memory figures, with
+//! `"instrumented": false`). Wall-clock time is measured by `e2ebench/`.
 
-use criterion::{black_box, Criterion};
+use std::hint::black_box;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rectpart_core::{
@@ -72,23 +72,18 @@ fn ratio(before: u64, after: u64) -> Json {
     }
 }
 
-/// Γ build op counts: per-cell-checked reference vs blocked build.
+/// Γ build op counts of the blocked dense build.
 fn gamma_ops(matrix: &LoadMatrix, label: &str) -> Json {
     const OPS: &str = "core.gamma.checked_ops";
     const SWEEPS: &str = "core.gamma.tile_sweeps";
-    let reference = counted(&[OPS], &|| {
-        drop(PrefixSum2D::try_new_reference(black_box(matrix)).unwrap())
-    })[0];
     let blocked = counted(&[OPS, SWEEPS], &|| {
         drop(PrefixSum2D::try_new_with(black_box(matrix), GammaMode::Dense).unwrap())
     });
     Json::obj(vec![
         ("case", label.to_json()),
         ("cells", (matrix.rows() * matrix.cols()).to_json()),
-        ("reference_checked_ops", reference.to_json()),
         ("blocked_checked_ops", blocked[0].to_json()),
         ("blocked_tile_sweeps", blocked[1].to_json()),
-        ("checked_ops_reduction", ratio(reference, blocked[0])),
     ])
 }
 
@@ -100,7 +95,7 @@ fn gamma_memory(matrix: &LoadMatrix, label: &str) -> Json {
         drop(PrefixSum2D::try_new_with(black_box(matrix), GammaMode::Sparse).unwrap())
     })[0];
     let sparse = PrefixSum2D::try_new_with(matrix, GammaMode::Sparse).unwrap();
-    let auto = PrefixSum2D::try_new_auto(matrix).unwrap();
+    let auto = PrefixSum2D::try_new_with(matrix, GammaMode::Auto).unwrap();
     Json::obj(vec![
         ("case", label.to_json()),
         ("dense_gamma_bytes", dense.gamma_bytes().to_json()),
@@ -142,43 +137,13 @@ fn solver_allocs(algo: &dyn Partitioner, pfx: &PrefixSum2D, m: usize, label: &st
     ])
 }
 
-/// Wall-clock timings of the three Γ builds at a single-thread budget.
-fn bench_gamma_builds(c: &mut Criterion, dense: &LoadMatrix, sparse: &LoadMatrix) {
-    let mut g = c.benchmark_group("substrate-gamma");
-    g.sample_size(10);
-    g.bench_function(format!("reference/{DENSE_N}x{DENSE_N}"), |b| {
-        b.iter(|| {
-            with_threads(1, || {
-                PrefixSum2D::try_new_reference(black_box(dense)).unwrap()
-            })
-        })
-    });
-    g.bench_function(format!("blocked/{DENSE_N}x{DENSE_N}"), |b| {
-        b.iter(|| {
-            with_threads(1, || {
-                PrefixSum2D::try_new_with(black_box(dense), GammaMode::Dense).unwrap()
-            })
-        })
-    });
-    g.bench_function(format!("sparse/{DENSE_N}x{DENSE_N}-92pct-zero"), |b| {
-        b.iter(|| {
-            with_threads(1, || {
-                PrefixSum2D::try_new_with(black_box(sparse), GammaMode::Sparse).unwrap()
-            })
-        })
-    });
-    g.finish();
-}
-
 fn num_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 fn main() {
-    let mut c = Criterion::default().configure_from_args();
     let dense = dense_matrix(DENSE_N);
     let sparse = sparse_matrix(DENSE_N);
-    bench_gamma_builds(&mut c, &dense, &sparse);
 
     let gamma_ops_entries = vec![
         gamma_ops(&dense, &format!("dense/{DENSE_N}x{DENSE_N}")),
@@ -214,17 +179,6 @@ fn main() {
         ));
     }
 
-    let timings: Vec<Json> = c
-        .results()
-        .iter()
-        .map(|r| {
-            Json::obj(vec![
-                ("id", r.id.to_json()),
-                ("mean_ns", r.mean_ns.to_json()),
-            ])
-        })
-        .collect();
-
     let instrumented = rectpart_obs::Recorder::global().enabled();
     let doc = Json::obj(vec![
         ("benchmark", "substrate-speed".to_json()),
@@ -233,16 +187,13 @@ fn main() {
         (
             "note",
             "op counts and allocation tallies are deterministic obs counters \
-             measured under a single-thread budget (identical on every host); \
-             timings are wall clock and only comparable on the same machine — \
-             on a single-core host read them against host_cores. Counter \
-             fields are zero unless built with --features obs."
+             measured under a single-thread budget (identical on every host). \
+             Counter fields are zero unless built with --features obs."
                 .to_json(),
         ),
         ("gamma_build_ops", Json::Arr(gamma_ops_entries)),
         ("gamma_memory", Json::Arr(gamma_memory_entries)),
         ("solver_allocations_per_solve", Json::Arr(solver_entries)),
-        ("timings", Json::Arr(timings)),
     ]);
     let path = format!("{}/../../BENCH_substrate.json", env!("CARGO_MANIFEST_DIR"));
     std::fs::write(&path, rectpart_json::to_string_pretty(&doc)).expect("write bench export");

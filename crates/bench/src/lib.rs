@@ -4,12 +4,12 @@
 //! Support library for the workspace benchmarks: the `benchdiff`
 //! regression detector over committed `BENCH_*.json` baselines.
 //!
-//! The benchmark harnesses emit JSON reports mixing two kinds of
-//! numbers: **deterministic op counters** (work units, probe counts,
-//! cache statistics — identical on every host at every thread count)
-//! and **wall-clock timings** (`*_ns` fields, only comparable on one
-//! machine). `benchdiff` compares only the former, so a regression
-//! verdict is reproducible in CI regardless of runner speed:
+//! The benchmark harnesses emit JSON reports of **deterministic op
+//! counters** (work units, probe counts, cache statistics — identical on
+//! every host at every thread count) plus derived ratios and host
+//! metadata. `benchdiff` compares only the counters, and would skip
+//! wall-clock fields (`*_ns`, only comparable on one machine), so a
+//! regression verdict is reproducible in CI regardless of runner speed:
 //!
 //! * only integer leaves ([`Json::UInt`]/[`Json::Int`]) at matching
 //!   paths are compared — floats (derived ratios) and strings are

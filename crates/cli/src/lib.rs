@@ -1931,7 +1931,7 @@ mod tests {
         let mut patched = matrix.clone();
         let row: Vec<u32> = (0..16u32).map(|c| c % 7).collect();
         patched.data_mut()[2 * 16..3 * 16].copy_from_slice(&row);
-        let pfx = PrefixSum2D::new(&patched);
+        let pfx = PrefixSum2D::try_new(&patched).unwrap();
         use rectpart_core::Partitioner as _;
         let cold = rectpart_core::JagMOpt::default().partition(&pfx, 4);
         let got_rects: Vec<Vec<u64>> = match items[3].get("rects") {

@@ -51,12 +51,11 @@
 //! # Unbounded-cache invariant
 //!
 //! `ShardedMemo` never evicts: every shard map grows monotonically for
-//! the lifetime of the cache (one `partition` call). The companion
-//! counter `core.stripe_cache.evictions` therefore stays **0 by
-//! construction** — it exists as a tripwire, pinned to zero by a test in
-//! `obs_differential`, so that a future bounded/LRU cache must
-//! consciously start incrementing it (and revisit the determinism
-//! argument above, which leans on entries never disappearing).
+//! the lifetime of the cache (one `partition` call). The determinism
+//! argument above leans on that: a key's first insert is counted once
+//! because its entry never disappears, so a later lookup cannot miss and
+//! insert it again. A bounded (e.g. LRU) cache would have to revisit
+//! that argument before evicting anything.
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};

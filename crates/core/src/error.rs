@@ -3,8 +3,8 @@
 //! [`RectpartError`] is the single error type surfaced by every
 //! `try_*` entry point in the workspace — matrix construction, Γ
 //! building, JSON loading, and the `rectpart-robust` solver driver. The
-//! infallible constructors (`LoadMatrix::from_vec`, `PrefixSum2D::new`)
-//! remain as thin `try_*().expect` shims for tests and trusted callers.
+//! asserting `LoadMatrix::from_vec` remains for tests and trusted
+//! callers; Γ has no panicking constructor.
 
 use std::fmt;
 

@@ -134,9 +134,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(0..20)
         }))
+        .unwrap()
     }
 
     #[test]
@@ -173,7 +174,7 @@ mod tests {
         // 3x3 with a heavy center forces Lmax(hier) >= center row/col
         // combinations; the windmill isolates the center.
         let mat = LoadMatrix::from_vec(3, 3, vec![1, 1, 1, 1, 100, 1, 1, 1, 1]);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let (_, arb) = exhaustive_opt(&pfx, 5);
         assert_eq!(arb, 100); // center alone; four windmill arms of 2 cells
         let hier = hier_opt_value(&pfx, 5);

@@ -209,9 +209,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(0..30)
         }))
+        .unwrap()
     }
 
     #[test]
@@ -250,7 +251,7 @@ mod tests {
         assert_eq!(v, pfx.total());
         assert!(p.validate(&pfx).is_ok());
 
-        let one = PrefixSum2D::new(&LoadMatrix::from_vec(1, 1, vec![7]));
+        let one = PrefixSum2D::try_new(&LoadMatrix::from_vec(1, 1, vec![7])).unwrap();
         let (p, v) = hier_opt(&one, 3);
         assert_eq!(v, 7);
         assert!(p.validate(&one).is_ok());
@@ -259,7 +260,7 @@ mod tests {
     #[test]
     fn optimal_on_uniform_quadrants() {
         let mat = LoadMatrix::from_fn(4, 4, |_, _| 1);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let (_, v) = hier_opt(&pfx, 4);
         assert_eq!(v, 4);
         let (_, v8) = hier_opt(&pfx, 8);

@@ -611,9 +611,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(1..100)
         }))
+        .unwrap()
     }
 
     #[test]
@@ -646,7 +647,7 @@ mod tests {
     #[test]
     fn rb_power_of_two_on_uniform_is_perfect() {
         let mat = LoadMatrix::from_fn(16, 16, |_, _| 2);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         for m in [2, 4, 8, 16, 32] {
             let p = HierRb::load().partition(&pfx, m);
             assert_eq!(p.lmax(&pfx), pfx.total() / m as u64, "m={m}");
@@ -668,7 +669,7 @@ mod tests {
                     (1000.0 / (d + 0.5)) as u32 + rng.gen_range(1u32..10)
                 })
             };
-            let pfx = PrefixSum2D::new(&mat);
+            let pfx = PrefixSum2D::try_new(&mat).unwrap();
             for m in [5, 9, 13] {
                 rb_total += HierRb::load().partition(&pfx, m).load_imbalance(&pfx);
                 rel_total += HierRelaxed::load().partition(&pfx, m).load_imbalance(&pfx);
@@ -683,7 +684,7 @@ mod tests {
     #[test]
     fn unsplittable_cell_idles_processors() {
         let mat = LoadMatrix::from_vec(1, 1, vec![5]);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         for m in [1, 2, 4] {
             let p = HierRb::load().partition(&pfx, m);
             assert!(p.validate(&pfx).is_ok());
@@ -696,7 +697,7 @@ mod tests {
     #[test]
     fn thin_matrices_fall_back_to_the_splittable_axis() {
         let mat = LoadMatrix::from_fn(1, 64, |_, c| (c + 1) as u32);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         for variant in VARIANTS {
             let p = HierRb { variant }.partition(&pfx, 8);
             assert!(p.validate(&pfx).is_ok(), "{variant:?}");

@@ -22,7 +22,7 @@ use crate::solution::Partition;
 /// ```
 /// use rectpart_core::{JagMHeur, JaggedIndex, LoadMatrix, Partitioner, PrefixSum2D};
 ///
-/// let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(16, 16, |r, c| (r + c) as u32 + 1));
+/// let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(16, 16, |r, c| (r + c) as u32 + 1)).unwrap();
 /// let part = JagMHeur::best().partition(&pfx, 6);
 /// let index = JaggedIndex::detect(&part).expect("jagged output indexes");
 /// assert_eq!(index.owner_of(3, 11), part.owner_of(3, 11));
@@ -295,9 +295,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(1..50)
         }))
+        .unwrap()
     }
 
     fn assert_index_agrees(

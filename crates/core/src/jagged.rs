@@ -425,9 +425,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(1..100)
         }))
+        .unwrap()
     }
 
     #[test]
@@ -487,7 +488,7 @@ mod tests {
             let d = (r as i64 - c as i64).unsigned_abs() as u32;
             1 + 1000 / (1 + d)
         });
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let mut wins = 0;
         let mut ties = 0;
         for m in [16, 25, 36, 49, 64] {

@@ -525,13 +525,14 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64, zeros: bool) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             if zeros && rng.gen_bool(0.2) {
                 0
             } else {
                 rng.gen_range(1..50)
             }
         }))
+        .unwrap()
     }
 
     #[test]
@@ -593,7 +594,7 @@ mod tests {
     #[test]
     fn m_opt_equals_lower_bound_on_uniform_powers() {
         let mat = LoadMatrix::from_fn(8, 8, |_, _| 1);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let p = JagMOpt::default().partition(&pfx, 16);
         assert_eq!(p.lmax(&pfx), 4); // 64 cells / 16 procs
     }
@@ -617,7 +618,7 @@ mod tests {
     #[test]
     fn stripe_parts_counts_greedily() {
         let mat = LoadMatrix::from_vec(1, 6, vec![3, 3, 3, 3, 3, 3]);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let view = pfx.view(Axis::Rows);
         assert_eq!(stripe_parts(&view, 0, 1, 6, 100), Some(3));
         assert_eq!(stripe_parts(&view, 0, 1, 18, 100), Some(1));
@@ -675,14 +676,15 @@ mod tests {
         };
         for seed in 0..6 {
             let mut rng = StdRng::seed_from_u64(100 + seed);
-            let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(20, 20, |r, c| {
+            let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(20, 20, |r, c| {
                 // A hot diagonal band over a cold background.
                 if r.abs_diff(c) <= 1 {
                     rng.gen_range(500..2000)
                 } else {
                     rng.gen_range(0..5)
                 }
-            }));
+            }))
+            .unwrap();
             for m in [5, 9, 13] {
                 let cold = algo.try_partition(&pfx, m).unwrap();
                 let (warm, skipped) = algo

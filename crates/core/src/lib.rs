@@ -27,7 +27,7 @@
 //! use rectpart_core::{JagMHeur, LoadMatrix, Partitioner, PrefixSum2D};
 //!
 //! let matrix = LoadMatrix::from_fn(64, 64, |r, c| 1 + ((r + c) % 7) as u32);
-//! let pfx = PrefixSum2D::new(&matrix);
+//! let pfx = PrefixSum2D::try_new(&matrix).unwrap();
 //! let part = JagMHeur::best().partition(&pfx, 25);
 //! assert!(part.validate(&pfx).is_ok());
 //! assert!(part.lmax(&pfx) >= pfx.lower_bound(25));
@@ -70,8 +70,7 @@ pub use jagged_opt::{jag_m_opt_dp, JagMOpt, JagPqOpt};
 pub use matrix::LoadMatrix;
 pub use multilevel::Multilevel;
 pub use prefix::{
-    GammaBackend, GammaMode, PrefixSum2D, RowExtrema, RowUpdate, StripeCost, View,
-    SPARSE_ZERO_FRACTION_PERCENT,
+    GammaMode, PrefixSum2D, RowExtrema, RowUpdate, StripeCost, View, SPARSE_ZERO_FRACTION_PERCENT,
 };
 pub use rectilinear::{RectNicol, RectUniform};
 /// Thread-budget configuration for the parallel execution layer,
@@ -80,7 +79,6 @@ pub use rectilinear::{RectNicol, RectUniform};
 pub use rectpart_parallel::ParallelismConfig;
 pub use registry::{algorithm_by_name, algorithm_names};
 pub use solution::{Partition, PartitionError, Summary};
-pub use sparse::SparsePrefixSum;
 pub use spiral::{spiral_opt_value, Side, SpiralRelaxed};
 pub use stats::PartitionStats;
 pub use traits::Partitioner;
@@ -122,7 +120,7 @@ mod tests {
     #[test]
     fn all_standard_heuristics_partition_validly() {
         let matrix = LoadMatrix::from_fn(30, 40, |r, c| ((r * c) % 17) as u32 + 1);
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         for algo in standard_heuristics() {
             for m in [1, 4, 9, 10, 25] {
                 let p = algo.partition(&pfx, m);

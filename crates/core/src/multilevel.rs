@@ -46,7 +46,7 @@ impl LoadMatrix {
 /// scaling the resulting rectangles back to full resolution.
 ///
 /// The wrapper needs the *matrix* (to coarsen), so unlike the plain
-/// algorithms it is constructed per instance with [`Multilevel::new`].
+/// algorithms it is constructed per instance with [`Multilevel::try_new`].
 pub struct Multilevel<'a, P> {
     matrix: &'a LoadMatrix,
     inner: P,
@@ -55,15 +55,6 @@ pub struct Multilevel<'a, P> {
 }
 
 impl<'a, P: Partitioner> Multilevel<'a, P> {
-    /// Coarsens `matrix` by `factor` and prepares the wrapper.
-    ///
-    /// Convenience shim over [`Multilevel::try_new`] for callers that
-    /// have already validated their instance.
-    pub fn new(matrix: &'a LoadMatrix, inner: P, factor: usize) -> Self {
-        // lint:allow(panic) -- documented convenience boundary; fallible construction is Multilevel::try_new
-        Self::try_new(matrix, inner, factor).expect("total load overflows u64")
-    }
-
     /// Coarsens `matrix` by `factor` and prepares the wrapper,
     /// surfacing Γ construction overflow (coarsening preserves the
     /// total load, so this errs exactly when the fine matrix's total
@@ -157,10 +148,10 @@ mod tests {
     #[test]
     fn multilevel_partitions_are_valid() {
         let m = random_matrix(50, 38, 2);
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         for f in [2, 3, 7] {
             for algo_m in [1, 4, 9, 12] {
-                let ml = Multilevel::new(&m, JagMHeur::best(), f);
+                let ml = Multilevel::try_new(&m, JagMHeur::best(), f).unwrap();
                 let p = ml.partition(&pfx, algo_m);
                 assert!(p.validate(&pfx).is_ok(), "f={f} m={algo_m}");
                 assert_eq!(p.parts(), algo_m);
@@ -171,10 +162,11 @@ mod tests {
     #[test]
     fn multilevel_no_better_than_full_resolution() {
         let m = random_matrix(64, 64, 3);
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         for f in [2, 4, 8] {
             let full = HierRb::load().partition(&pfx, 16).lmax(&pfx);
-            let ml = Multilevel::new(&m, HierRb::load(), f)
+            let ml = Multilevel::try_new(&m, HierRb::load(), f)
+                .unwrap()
                 .partition(&pfx, 16)
                 .lmax(&pfx);
             // Coarse cuts are a subset of fine cuts for this class.
@@ -185,16 +177,18 @@ mod tests {
     #[test]
     fn factor_one_is_identity() {
         let m = random_matrix(20, 20, 4);
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let direct = JagMHeur::best().partition(&pfx, 6);
-        let ml = Multilevel::new(&m, JagMHeur::best(), 1).partition(&pfx, 6);
+        let ml = Multilevel::try_new(&m, JagMHeur::best(), 1)
+            .unwrap()
+            .partition(&pfx, 6);
         assert_eq!(direct.rects(), ml.rects());
     }
 
     #[test]
     fn name_reports_the_factor() {
         let m = random_matrix(8, 8, 5);
-        let ml = Multilevel::new(&m, HierRb::load(), 4);
+        let ml = Multilevel::try_new(&m, HierRb::load(), 4).unwrap();
         assert_eq!(ml.name(), "HIER-RB-LOAD@1/4");
         assert_eq!(ml.factor(), 4);
     }

@@ -2,49 +2,27 @@
 //!
 //! # Substrate layout (DESIGN.md §13)
 //!
-//! [`PrefixSum2D`] is a facade over two interchangeable backends behind
-//! the [`GammaBackend`] query contract:
+//! [`PrefixSum2D`] is one facade over two storage backends:
 //!
 //! * the **dense** array — `(rows+1)·(cols+1)` `u64`s, O(1) queries,
 //!   built by a cache-blocked tiled sweep whose overflow checks are
 //!   hoisted to tile boundaries (the per-cell-checked original survives
-//!   as [`PrefixSum2D::try_new_reference`], the differential oracle and
-//!   benchmark baseline);
-//! * the **sparse** CSR-like [`SparsePrefixSum`] — per-row nonzero
-//!   prefix runs, for zero-heavy instances.
+//!   in this module's tests as the differential oracle);
+//! * the **sparse** CSR-like structure — per-row nonzero prefix runs,
+//!   for zero-heavy instances.
 //!
-//! Backend choice is explicit ([`GammaMode`]), automatic above a
-//! zero-density threshold ([`PrefixSum2D::try_new_auto`]), or forced
-//! process-wide through the `RECTPART_GAMMA` environment variable (how
-//! CI runs the whole differential suite against the sparse backend).
-//! Queries are bit-identical across backends, so solver output never
-//! depends on the choice.
+//! [`PrefixSum2D::try_new_with`] builds Γ under an explicit [`GammaMode`]
+//! (dense, sparse, or automatic above a zero-density threshold);
+//! [`PrefixSum2D::try_new`] takes the mode from the `RECTPART_GAMMA`
+//! environment variable, dense when unset (how CI runs the whole
+//! differential suite against the sparse backend). Queries are
+//! bit-identical across backends, so solver output never depends on
+//! the choice.
 
 use crate::error::RectpartError;
 use crate::geometry::{Axis, Rect};
 use crate::matrix::LoadMatrix;
 use crate::sparse::SparsePrefixSum;
-
-/// Query contract shared by every Γ backend: exact `u64` rectangle
-/// loads over a fixed `rows × cols` matrix. Implementations must answer
-/// bit-identically for the same matrix — the differential suite holds
-/// the dense and sparse backends to that.
-pub trait GammaBackend {
-    /// Number of rows of the underlying matrix.
-    fn rows(&self) -> usize;
-    /// Number of columns of the underlying matrix.
-    fn cols(&self) -> usize;
-    /// Total load of the matrix.
-    fn total(&self) -> u64;
-    /// Load of rows `[r0, r1)` × cols `[c0, c1)`.
-    fn sum4(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> u64;
-    /// Load of a rectangle.
-    fn sum(&self, r: &Rect) -> u64 {
-        self.sum4(r.r0, r.r1, r.c0, r.c1)
-    }
-    /// Heap bytes held by the Γ representation.
-    fn gamma_bytes(&self) -> usize;
-}
 
 /// Γ backend selection policy (CLI `--gamma dense|sparse|auto`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -52,7 +30,7 @@ pub enum GammaMode {
     /// The dense prefix array — the paper's Γ, O(1) queries.
     #[default]
     Dense,
-    /// The CSR-like [`SparsePrefixSum`] — compact on zero-heavy input.
+    /// The CSR-like sparse structure — compact on zero-heavy input.
     Sparse,
     /// Dense below [`SPARSE_ZERO_FRACTION_PERCENT`] zero density, sparse above.
     Auto,
@@ -95,7 +73,7 @@ impl GammaMode {
     }
 }
 
-/// Zero-cell fraction from which [`PrefixSum2D::try_new_auto`] picks the sparse Γ: its runs take
+/// Zero-cell fraction from which [`GammaMode::Auto`] picks the sparse Γ: its runs take
 /// under half the dense bytes. It answers full-width/-height queries in O(1) and scans rows for the
 /// rest, so the stripe and HIER solves read 1D projections instead (DESIGN.md §13).
 pub const SPARSE_ZERO_FRACTION_PERCENT: u32 = 75;
@@ -119,7 +97,7 @@ enum Repr {
 /// use rectpart_core::{LoadMatrix, PrefixSum2D, Rect};
 ///
 /// let m = LoadMatrix::from_fn(4, 4, |r, c| (r * 4 + c) as u32);
-/// let pfx = PrefixSum2D::new(&m);
+/// let pfx = PrefixSum2D::try_new(&m).unwrap();
 /// assert_eq!(pfx.load(&Rect::new(1, 3, 1, 3)), 5 + 6 + 9 + 10);
 /// assert_eq!(pfx.total(), m.total());
 /// assert!(pfx.lower_bound(4) >= pfx.total() / 4);
@@ -150,18 +128,6 @@ const TILE: usize = 512;
 const TILE_CARRY_GUARD: u64 = u64::MAX - (TILE as u64) * (u32::MAX as u64);
 
 impl PrefixSum2D {
-    /// Builds Γ, aborting on overflow. Thin shim over [`Self::try_new`]
-    /// for tests and trusted callers; the fallible path is `try_new`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the running sum overflows `u64` (same condition on both
-    /// paths: overflow of any Γ entry).
-    pub fn new(a: &LoadMatrix) -> Self {
-        // lint:allow(panic) -- boundary shim: trusted callers opt into abort-on-overflow; the fallible path is try_new
-        Self::try_new(a).expect("2D prefix sum overflow")
-    }
-
     /// Builds Γ, surfacing overflow as [`RectpartError::Overflow`]
     /// instead of aborting. Uses the dense backend unless the
     /// `RECTPART_GAMMA` environment variable overrides the choice; for
@@ -175,18 +141,6 @@ impl PrefixSum2D {
     /// total reaching 2⁶⁴).
     pub fn try_new(a: &LoadMatrix) -> Result<Self, RectpartError> {
         Self::try_new_with(a, GammaMode::from_env().unwrap_or(GammaMode::Dense))
-    }
-
-    /// [`Self::try_new`] with automatic backend selection: sparse above
-    /// [`SPARSE_ZERO_FRACTION_PERCENT`] zero cells, dense otherwise.
-    /// `RECTPART_GAMMA` still takes precedence when set.
-    pub fn try_new_auto(a: &LoadMatrix) -> Result<Self, RectpartError> {
-        Self::try_new_with(a, GammaMode::from_env().unwrap_or(GammaMode::Auto))
-    }
-
-    /// [`Self::try_new`] forcing the sparse backend (no env override).
-    pub fn try_new_sparse(a: &LoadMatrix) -> Result<Self, RectpartError> {
-        Self::try_new_with(a, GammaMode::Sparse)
     }
 
     /// Builds Γ with an explicit backend policy. `Sparse` falls back to
@@ -245,59 +199,6 @@ impl PrefixSum2D {
         (zeros as u128) * 100 >= (cells as u128) * SPARSE_ZERO_FRACTION_PERCENT as u128
     }
 
-    /// Builds Γ under an explicit parallelism override; see
-    /// [`ParallelismConfig`](rectpart_parallel::ParallelismConfig).
-    pub fn with_config(a: &LoadMatrix, cfg: rectpart_parallel::ParallelismConfig) -> Self {
-        cfg.run(|| Self::new(a))
-    }
-
-    /// [`Self::try_new`] under an explicit parallelism override.
-    pub fn try_with_config(
-        a: &LoadMatrix,
-        cfg: rectpart_parallel::ParallelismConfig,
-    ) -> Result<Self, RectpartError> {
-        cfg.run(|| Self::try_new(a))
-    }
-
-    /// The original one-pass construction with **two checked additions
-    /// per cell**, kept verbatim as the differential oracle for the
-    /// blocked builds and as the substrate benchmark's "before"
-    /// baseline. Produces bit-identical results to [`Self::try_new`]
-    /// under the dense backend and errs under the identical condition.
-    pub fn try_new_reference(a: &LoadMatrix) -> Result<Self, RectpartError> {
-        rectpart_obs::incr(rectpart_obs::Counter::GammaBuilds);
-        let rows = a.rows();
-        let cols = a.cols();
-        let w = cols + 1;
-        let mut g = vec![0u64; (rows + 1) * w];
-        let mut max_cell = 0u32;
-        let mut min_cell = u32::MAX;
-        for r in 0..rows {
-            let mut row_sum = 0u64;
-            let src = a.row(r);
-            for c in 0..cols {
-                let v = src[c];
-                max_cell = max_cell.max(v);
-                min_cell = min_cell.min(v);
-                row_sum = row_sum
-                    .checked_add(v as u64)
-                    .ok_or(RectpartError::Overflow)?;
-                let above = g[r * w + (c + 1)];
-                g[(r + 1) * w + (c + 1)] =
-                    above.checked_add(row_sum).ok_or(RectpartError::Overflow)?;
-            }
-        }
-        rectpart_obs::exec_add(
-            rectpart_obs::ExecStat::GammaCheckedOps,
-            2 * (rows * cols) as u64,
-        );
-        if rows == 0 || cols == 0 {
-            min_cell = 0;
-        }
-        let total = g[(rows + 1) * w - 1];
-        Ok(Self::from_dense(rows, cols, g, total, max_cell, min_cell))
-    }
-
     fn from_dense(
         rows: usize,
         cols: usize,
@@ -333,9 +234,9 @@ impl PrefixSum2D {
     ///
     /// Both arguments of every boundary check are exact by induction
     /// (previous rows and the current row-prefix passed their checks),
-    /// so this errs **iff** the per-cell-checked
-    /// [`Self::try_new_reference`] errs — iff the grand total reaches
-    /// 2⁶⁴ — and is bit-identical on success.
+    /// so this errs **iff** the per-cell-checked reference build (this
+    /// module's test oracle) errs — iff the grand total reaches 2⁶⁴ —
+    /// and is bit-identical on success.
     fn try_new_serial(a: &LoadMatrix) -> Result<Self, RectpartError> {
         let rows = a.rows();
         let cols = a.cols();
@@ -620,7 +521,9 @@ impl PrefixSum2D {
     }
 
     /// Load of rows `[r0, r1)` × cols `[c0, c1)`. O(1) on the dense
-    /// backend; see [`SparsePrefixSum::sum4`] for the sparse costs.
+    /// backend; on the sparse backend O(1) for full-width and
+    /// full-height queries and one within-row lookup pair per row in
+    /// range otherwise.
     #[inline]
     pub fn load4(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> u64 {
         debug_assert!(r0 <= r1 && r1 <= self.rows && c0 <= c1 && c1 <= self.cols);
@@ -681,9 +584,8 @@ impl PrefixSum2D {
     /// * **sparse** — changed rows are rescanned, unchanged rows' run
     ///   storage is spliced over verbatim (within-row prefixes do not
     ///   depend on other rows), and the dense borders are recomputed in
-    ///   the same accumulation order as a fresh
-    ///   [`SparsePrefixSum::try_new`], so every array matches it
-    ///   bit-for-bit.
+    ///   the same accumulation order as a fresh sparse build, so every
+    ///   array matches it bit-for-bit.
     ///
     /// Overflow (new grand total ≥ 2⁶⁴) and validation errors are
     /// detected **before** anything is mutated: on `Err`, matrix, Γ, and
@@ -877,28 +779,6 @@ impl RowExtrema {
     }
 }
 
-impl GammaBackend for PrefixSum2D {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn sum4(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> u64 {
-        self.load4(r0, r1, c0, c1)
-    }
-
-    fn gamma_bytes(&self) -> usize {
-        PrefixSum2D::gamma_bytes(self)
-    }
-}
-
 impl PrefixSum2D {
     /// Projects `rect` onto `axis`: fills `out` with `extent + 1`
     /// prefix loads, `out[i]` being the load of `rect`'s first `i` rows
@@ -908,8 +788,8 @@ impl PrefixSum2D {
     /// `[lo + i, lo + j)`, bit for bit.
     ///
     /// This is how the solvers avoid the sparse backend's per-row scans
-    /// (see [`SparsePrefixSum`] for its costs). On the dense backend it
-    /// is `extent + 1` four-lookup queries.
+    /// (see [`load4`](Self::load4) for its costs). On the dense backend
+    /// it is `extent + 1` four-lookup queries.
     ///
     /// ```
     /// use rectpart_core::{Axis, GammaMode, LoadMatrix, PrefixSum2D, Rect};
@@ -1052,11 +932,52 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    impl PrefixSum2D {
+        /// The original one-pass construction with **two checked additions
+        /// per cell**, kept verbatim as the differential oracle for the
+        /// blocked builds. Produces bit-identical results to
+        /// [`PrefixSum2D::try_new`] under the dense backend and errs under
+        /// the identical condition.
+        fn try_new_reference(a: &LoadMatrix) -> Result<Self, RectpartError> {
+            rectpart_obs::incr(rectpart_obs::Counter::GammaBuilds);
+            let rows = a.rows();
+            let cols = a.cols();
+            let w = cols + 1;
+            let mut g = vec![0u64; (rows + 1) * w];
+            let mut max_cell = 0u32;
+            let mut min_cell = u32::MAX;
+            for r in 0..rows {
+                let mut row_sum = 0u64;
+                let src = a.row(r);
+                for c in 0..cols {
+                    let v = src[c];
+                    max_cell = max_cell.max(v);
+                    min_cell = min_cell.min(v);
+                    row_sum = row_sum
+                        .checked_add(v as u64)
+                        .ok_or(RectpartError::Overflow)?;
+                    let above = g[r * w + (c + 1)];
+                    g[(r + 1) * w + (c + 1)] =
+                        above.checked_add(row_sum).ok_or(RectpartError::Overflow)?;
+                }
+            }
+            rectpart_obs::exec_add(
+                rectpart_obs::ExecStat::GammaCheckedOps,
+                2 * (rows * cols) as u64,
+            );
+            if rows == 0 || cols == 0 {
+                min_cell = 0;
+            }
+            let total = g[(rows + 1) * w - 1];
+            Ok(Self::from_dense(rows, cols, g, total, max_cell, min_cell))
+        }
+    }
+
     #[test]
     fn prefix_matches_naive_on_random_matrix() {
         let mut rng = StdRng::seed_from_u64(7);
         let m = LoadMatrix::from_fn(13, 9, |_, _| rng.gen_range(0..50));
-        let p = PrefixSum2D::new(&m);
+        let p = PrefixSum2D::try_new(&m).unwrap();
         assert_eq!(p.total(), m.total());
         for _ in 0..200 {
             let r0 = rng.gen_range(0..=13);
@@ -1071,7 +992,7 @@ mod tests {
     #[test]
     fn extrema_and_delta() {
         let m = LoadMatrix::from_vec(2, 2, vec![2, 8, 4, 6]);
-        let p = PrefixSum2D::new(&m);
+        let p = PrefixSum2D::try_new(&m).unwrap();
         assert_eq!(p.max_cell(), 8);
         assert_eq!(p.min_cell(), 2);
         assert_eq!(p.delta(), Some(4.0));
@@ -1081,11 +1002,11 @@ mod tests {
     #[test]
     fn lower_bound_combines_average_and_max_cell() {
         let m = LoadMatrix::from_vec(1, 4, vec![10, 1, 1, 1]);
-        let p = PrefixSum2D::new(&m);
+        let p = PrefixSum2D::try_new(&m).unwrap();
         assert_eq!(p.lower_bound(2), 10); // max cell dominates
         assert_eq!(p.lower_bound(1), 13);
         let u = LoadMatrix::from_vec(1, 4, vec![3, 3, 3, 3]);
-        let pu = PrefixSum2D::new(&u);
+        let pu = PrefixSum2D::try_new(&u).unwrap();
         assert_eq!(pu.lower_bound(2), 6); // average dominates
         assert_eq!(pu.lower_bound(3), 4); // ceil(12/3)=4 > 3
     }
@@ -1093,7 +1014,7 @@ mod tests {
     #[test]
     fn view_reorients_coordinates() {
         let m = LoadMatrix::from_fn(3, 5, |r, c| (r * 5 + c) as u32);
-        let p = PrefixSum2D::new(&m);
+        let p = PrefixSum2D::try_new(&m).unwrap();
         let vr = p.view(Axis::Rows);
         let vc = p.view(Axis::Cols);
         assert_eq!(vr.n_main(), 3);
@@ -1209,17 +1130,9 @@ mod tests {
     }
 
     #[test]
-    fn with_config_forces_thread_budget() {
-        let m = LoadMatrix::from_fn(12, 12, |r, c| (r + c) as u32);
-        let cfg = rectpart_parallel::ParallelismConfig::threads(4);
-        let p = PrefixSum2D::with_config(&m, cfg);
-        assert_eq!(p.total(), m.total());
-    }
-
-    #[test]
     fn empty_matrix() {
         let m = LoadMatrix::zeros(0, 0);
-        let p = PrefixSum2D::new(&m);
+        let p = PrefixSum2D::try_new(&m).unwrap();
         assert_eq!(p.total(), 0);
         assert_eq!(p.delta(), None);
         assert_eq!(p.min_cell(), 0);

@@ -201,9 +201,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(1..100)
         }))
+        .unwrap()
     }
 
     #[test]
@@ -221,7 +222,7 @@ mod tests {
         // All the load in one corner: uniform still cuts mid-matrix.
         let mut mat = LoadMatrix::zeros(8, 8);
         *mat.get_mut(0, 0) = 100;
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let p = RectUniform::default().partition(&pfx, 4);
         assert_eq!(p.lmax(&pfx), 100);
         assert_eq!(p.rects()[0], Rect::new(0, 4, 0, 4));
@@ -262,7 +263,7 @@ mod tests {
     #[test]
     fn nicol_exact_on_uniform_matrix() {
         let mat = LoadMatrix::from_fn(16, 16, |_, _| 1);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let p = RectNicol::default().partition(&pfx, 16);
         assert_eq!(p.lmax(&pfx), 16); // perfect 4x4 grid of 4x4 blocks
     }
@@ -286,7 +287,7 @@ mod tests {
         // Two stripes with loads concentrated in different columns: the
         // refined cut must consider the max across stripes.
         let mat = LoadMatrix::from_vec(2, 4, vec![9, 1, 1, 1, 1, 1, 1, 9]);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let rows = Cuts::new(vec![0, 1, 2]);
         let r = refine(&pfx, &rows, Axis::Cols, 2, &mut SolveScratch::new());
         // Any column split leaves a 9 on each side; best bottleneck is

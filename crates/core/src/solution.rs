@@ -246,7 +246,7 @@ mod tests {
     #[test]
     fn summary_agrees_with_individual_metrics() {
         let m = LoadMatrix::from_fn(4, 4, |r, c| (r * 4 + c) as u32);
-        let p = PrefixSum2D::new(&m);
+        let p = PrefixSum2D::try_new(&m).unwrap();
         let part = Partition::with_parts(vec![Rect::new(0, 2, 0, 4), Rect::new(2, 4, 0, 4)], 3);
         let s = part.summary(&p);
         assert_eq!(s.lmax, part.lmax(&p));
@@ -256,7 +256,7 @@ mod tests {
     }
 
     fn pfx(rows: usize, cols: usize) -> PrefixSum2D {
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |r, c| (r + c) as u32 + 1))
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |r, c| (r + c) as u32 + 1)).unwrap()
     }
 
     #[test]
@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn imbalance_of_perfect_split() {
         let m = LoadMatrix::from_vec(2, 2, vec![5, 5, 5, 5]);
-        let g = PrefixSum2D::new(&m);
+        let g = PrefixSum2D::try_new(&m).unwrap();
         let p = Partition::new(vec![Rect::new(0, 1, 0, 2), Rect::new(1, 2, 0, 2)]);
         assert!(p.load_imbalance(&g).abs() < 1e-12);
         let q = Partition::new(vec![Rect::new(0, 2, 0, 1), Rect::new(0, 2, 1, 2)]);
@@ -327,7 +327,7 @@ mod tests {
     #[test]
     fn imbalance_of_skewed_split() {
         let m = LoadMatrix::from_vec(1, 4, vec![9, 1, 1, 1]);
-        let g = PrefixSum2D::new(&m);
+        let g = PrefixSum2D::try_new(&m).unwrap();
         let p = Partition::new(vec![Rect::new(0, 1, 0, 1), Rect::new(0, 1, 1, 4)]);
         // Lmax = 9, Lavg = 6 -> imbalance 0.5
         assert!((p.load_imbalance(&g) - 0.5).abs() < 1e-12);

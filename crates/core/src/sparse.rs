@@ -12,31 +12,24 @@
 //! one built per stripe, or handed down a HIER tree from node to node.
 //!
 //! Queries and projections are **bit-identical** to the dense backend:
-//! both add the same non-negative cells exactly in `u64`. Construction
-//! surfaces overflow as [`RectpartError::Overflow`] under the dense
-//! path's condition (the total reaching 2⁶⁴) and honors its fault gate.
+//! both add the same non-negative cells exactly in `u64`. Only the
+//! [`PrefixSum2D`](crate::PrefixSum2D) facade builds this structure, so
+//! its build counter, work charge, span and fault gate cover both
+//! backends; construction surfaces overflow as
+//! [`RectpartError::Overflow`] under the dense path's condition (the
+//! total reaching 2⁶⁴).
 
 use crate::error::RectpartError;
 use crate::geometry::{Axis, Rect};
 use crate::matrix::LoadMatrix;
-use crate::prefix::GammaBackend;
 
 /// CSR-like sparse Γ: per-row nonzero prefix runs.
 ///
 /// Storage is ~16 bytes per nonzero cell in the worst case (isolated
 /// nonzeros) plus small dense borders, versus 8 bytes per *cell* for the
 /// dense array — a ≥5× saving at ≥90% zeros.
-///
-/// ```
-/// use rectpart_core::{GammaBackend, LoadMatrix, Rect, SparsePrefixSum};
-///
-/// let m = LoadMatrix::from_fn(8, 8, |r, c| if (r + c) % 4 == 0 { 3 } else { 0 });
-/// let s = SparsePrefixSum::try_new(&m).unwrap();
-/// assert_eq!(s.sum(&Rect::new(0, 8, 0, 8)), m.total());
-/// assert_eq!(s.sum(&Rect::new(1, 3, 2, 7)), 9);
-/// ```
 #[derive(Clone, Debug)]
-pub struct SparsePrefixSum {
+pub(crate) struct SparsePrefixSum {
     rows: usize,
     cols: usize,
     /// `rows + 1` run-index bounds: row `r` owns runs
@@ -64,25 +57,6 @@ pub struct SparsePrefixSum {
 }
 
 impl SparsePrefixSum {
-    /// Builds the sparse representation, surfacing accumulation overflow
-    /// as [`RectpartError::Overflow`] exactly like the dense
-    /// [`PrefixSum2D`](crate::PrefixSum2D) path. Also errs on matrices
-    /// whose cell count does not fit the `u32` run indices (≥ 2³² cells
-    /// — build Γ dense instead; 4-byte indices buy nothing there).
-    ///
-    /// Construction is a single serial O(cells) scan touching O(nnz)
-    /// memory, so the result is trivially identical at any thread count.
-    pub fn try_new(a: &LoadMatrix) -> Result<Self, RectpartError> {
-        rectpart_obs::incr(rectpart_obs::Counter::GammaBuilds);
-        let _timer = rectpart_obs::phase(rectpart_obs::Phase::Gamma);
-        rectpart_obs::work::charge((a.rows() * a.cols()) as u64 + 1);
-        #[cfg(feature = "faultinject")]
-        if rectpart_obs::fault::gamma_should_overflow() {
-            return Err(RectpartError::Overflow);
-        }
-        Self::build(a)
-    }
-
     /// `true` when the matrix shape fits this backend's `u32` indices.
     pub(crate) fn indexable(rows: usize, cols: usize) -> bool {
         rows < u32::MAX as usize
@@ -90,10 +64,14 @@ impl SparsePrefixSum {
             && rows.saturating_mul(cols) < u32::MAX as usize
     }
 
-    /// The scan proper; also used by the [`PrefixSum2D`] facade dispatch
-    /// (which performs its own instrumentation and fault gating).
-    ///
-    /// [`PrefixSum2D`]: crate::PrefixSum2D
+    /// Builds the sparse representation in one serial O(cells) scan
+    /// touching O(nnz) memory, so the result is trivially identical at
+    /// any thread count. Surfaces accumulation overflow as
+    /// [`RectpartError::Overflow`] exactly like the dense path, and also
+    /// errs on shapes whose cell count does not fit the `u32` run
+    /// indices (≥ 2³² cells — build Γ dense instead). The caller (the
+    /// [`PrefixSum2D`](crate::PrefixSum2D) facade) instruments the build
+    /// and applies the fault gate.
     pub(crate) fn build(a: &LoadMatrix) -> Result<Self, RectpartError> {
         let rows = a.rows();
         let cols = a.cols();
@@ -309,14 +287,9 @@ impl SparsePrefixSum {
         )
     }
 
-    /// Number of stored nonzero cells.
-    pub fn nnz(&self) -> usize {
-        self.vals.len()
-    }
-
-    /// Number of stored nonzero runs.
-    pub fn runs(&self) -> usize {
-        self.run_col0.len()
+    /// Total load of the matrix.
+    pub fn total(&self) -> u64 {
+        self.total
     }
 
     /// Largest single-cell load.
@@ -512,32 +485,10 @@ impl SparsePrefixSum {
     }
 }
 
-impl GammaBackend for SparsePrefixSum {
-    fn rows(&self) -> usize {
-        self.rows
-    }
-
-    fn cols(&self) -> usize {
-        self.cols
-    }
-
-    fn total(&self) -> u64 {
-        self.total
-    }
-
-    fn sum4(&self, r0: usize, r1: usize, c0: usize, c1: usize) -> u64 {
-        SparsePrefixSum::sum4(self, r0, r1, c0, c1)
-    }
-
-    fn gamma_bytes(&self) -> usize {
-        SparsePrefixSum::gamma_bytes(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prefix::PrefixSum2D;
+    use crate::prefix::{GammaMode, PrefixSum2D};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -564,7 +515,7 @@ mod tests {
         ] {
             let m = sparse_matrix(rows, cols, 7 * rows as u64 + cols as u64, zero_p);
             let d = PrefixSum2D::try_new(&m).unwrap();
-            let s = SparsePrefixSum::try_new(&m).unwrap();
+            let s = SparsePrefixSum::build(&m).unwrap();
             assert_eq!(s.total, d.total());
             assert_eq!(s.max_cell, d.max_cell());
             assert_eq!(s.min_cell, d.min_cell());
@@ -585,7 +536,7 @@ mod tests {
     #[test]
     fn fast_paths_match_generic_path() {
         let m = sparse_matrix(20, 30, 99, 0.8);
-        let s = SparsePrefixSum::try_new(&m).unwrap();
+        let s = SparsePrefixSum::build(&m).unwrap();
         for r0 in 0..20 {
             for r1 in r0..=20 {
                 // full width
@@ -604,9 +555,9 @@ mod tests {
     #[test]
     fn runs_and_nnz_counts() {
         let m = LoadMatrix::from_vec(2, 6, vec![1, 1, 0, 2, 0, 3, 0, 0, 0, 0, 0, 0]);
-        let s = SparsePrefixSum::try_new(&m).unwrap();
-        assert_eq!(s.nnz(), 4);
-        assert_eq!(s.runs(), 3);
+        let s = SparsePrefixSum::build(&m).unwrap();
+        assert_eq!(s.vals.len(), 4, "nonzero cells");
+        assert_eq!(s.run_col0.len(), 3, "runs");
         assert_eq!(s.total, 7);
         assert_eq!(s.min_cell(), 0);
         assert_eq!(s.sum4(0, 1, 3, 6), 5);
@@ -616,15 +567,15 @@ mod tests {
     #[test]
     fn all_nonzero_min_cell() {
         let m = LoadMatrix::from_vec(2, 2, vec![4, 2, 9, 5]);
-        let s = SparsePrefixSum::try_new(&m).unwrap();
+        let s = SparsePrefixSum::build(&m).unwrap();
         assert_eq!(s.min_cell(), 2);
-        assert_eq!(s.runs(), 2); // one maximal run per row
+        assert_eq!(s.run_col0.len(), 2); // one maximal run per row
     }
 
     #[test]
     fn empty_matrix() {
         let m = LoadMatrix::zeros(0, 0);
-        let s = SparsePrefixSum::try_new(&m).unwrap();
+        let s = SparsePrefixSum::build(&m).unwrap();
         assert_eq!(s.total, 0);
         assert_eq!(s.min_cell(), 0);
         assert_eq!(s.max_cell(), 0);
@@ -634,8 +585,8 @@ mod tests {
     #[test]
     fn memory_beats_dense_on_sparse_instances() {
         let m = sparse_matrix(128, 128, 5, 0.95);
-        let d = PrefixSum2D::try_new(&m).unwrap();
-        let s = SparsePrefixSum::try_new(&m).unwrap();
+        let d = PrefixSum2D::try_new_with(&m, GammaMode::Dense).unwrap();
+        let s = SparsePrefixSum::build(&m).unwrap();
         assert!(
             s.gamma_bytes() * 5 <= d.gamma_bytes(),
             "sparse {} vs dense {}",

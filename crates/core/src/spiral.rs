@@ -298,9 +298,10 @@ mod tests {
 
     fn random_pfx(rows: usize, cols: usize, seed: u64) -> PrefixSum2D {
         let mut rng = StdRng::seed_from_u64(seed);
-        PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
             rng.gen_range(0..40)
         }))
+        .unwrap()
     }
 
     #[test]
@@ -333,7 +334,7 @@ mod tests {
     fn spiral_shape_rotates_sides() {
         // On a uniform matrix with m = 4 and generous geometry, the four
         // rectangles must touch the four different sides in spiral order.
-        let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(16, 16, |_, _| 1));
+        let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(16, 16, |_, _| 1)).unwrap();
         let p = SpiralRelaxed::default().partition(&pfx, 4);
         assert!(p.validate(&pfx).is_ok());
         let rects = p.rects();
@@ -343,7 +344,7 @@ mod tests {
 
     #[test]
     fn thin_rectangles_rotate_to_a_peelable_side() {
-        let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(1, 32, |_, c| (c + 1) as u32));
+        let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(1, 32, |_, c| (c + 1) as u32)).unwrap();
         for m in [2, 4, 7] {
             let p = SpiralRelaxed::default().partition(&pfx, m);
             assert!(p.validate(&pfx).is_ok(), "m={m}");
@@ -353,7 +354,7 @@ mod tests {
 
     #[test]
     fn single_cell_many_processors() {
-        let pfx = PrefixSum2D::new(&LoadMatrix::from_vec(1, 1, vec![9]));
+        let pfx = PrefixSum2D::try_new(&LoadMatrix::from_vec(1, 1, vec![9])).unwrap();
         let p = SpiralRelaxed::default().partition(&pfx, 3);
         assert!(p.validate(&pfx).is_ok());
         assert_eq!(p.lmax(&pfx), 9);

@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn stats_of_a_perfect_split() {
         let m = LoadMatrix::from_fn(4, 4, |_, _| 2);
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let part = Partition::new(vec![Rect::new(0, 2, 0, 4), Rect::new(2, 4, 0, 4)]);
         let s = PartitionStats::compute(&pfx, &part);
         assert_eq!(s.parts, 2);
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn stats_of_a_skewed_split() {
         let m = LoadMatrix::from_fn(2, 4, |_, c| if c == 0 { 10 } else { 1 });
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let part = Partition::new(vec![Rect::new(0, 2, 0, 1), Rect::new(0, 2, 1, 4)]);
         let s = PartitionStats::compute(&pfx, &part);
         assert_eq!(s.lmax, 20);
@@ -146,7 +146,7 @@ mod tests {
     #[test]
     fn empty_rects_counted_as_idle() {
         let m = LoadMatrix::from_fn(2, 2, |_, _| 1);
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let part = Partition::with_parts(vec![Rect::new(0, 2, 0, 2)], 4);
         let s = PartitionStats::compute(&pfx, &part);
         assert_eq!(s.parts, 4);
@@ -159,7 +159,7 @@ mod tests {
     #[test]
     fn display_is_informative() {
         let m = LoadMatrix::from_fn(4, 4, |_, _| 1);
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let part = Partition::new(vec![Rect::new(0, 4, 0, 4)]);
         let text = PartitionStats::compute(&pfx, &part).to_string();
         assert!(text.contains("imbalance"));

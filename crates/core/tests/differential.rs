@@ -48,9 +48,9 @@ fn prefix_sum_construction_is_thread_invariant() {
     // entry by entry via load queries over a grid of rectangles.
     for &(rows, cols) in &[(1usize, 7usize), (2, 2), (37, 53), (64, 1), (300, 300)] {
         let mat = random_matrix(rows, cols, 0xC0FFEE ^ (rows * cols) as u64, true);
-        let serial = with_threads(1, || PrefixSum2D::new(&mat));
+        let serial = with_threads(1, || PrefixSum2D::try_new(&mat).unwrap());
         for threads in [2, 3, 8] {
-            let parallel = with_threads(threads, || PrefixSum2D::new(&mat));
+            let parallel = with_threads(threads, || PrefixSum2D::try_new(&mat).unwrap());
             assert_eq!(serial.total(), parallel.total(), "{rows}x{cols}");
             assert_eq!(serial.max_cell(), parallel.max_cell(), "{rows}x{cols}");
             for r0 in (0..rows).step_by(7.min(rows)) {
@@ -69,7 +69,7 @@ fn prefix_sum_construction_is_thread_invariant() {
 #[test]
 fn rect_nicol_is_thread_invariant() {
     for seed in 0..3 {
-        let pfx = PrefixSum2D::new(&random_matrix(40, 34, seed, seed == 1));
+        let pfx = PrefixSum2D::try_new(&random_matrix(40, 34, seed, seed == 1)).unwrap();
         for m in [4, 9, 25] {
             assert_thread_invariant(&RectNicol::default(), &pfx, m, "RECT-NICOL");
             assert_thread_invariant(&RectUniform::default(), &pfx, m, "RECT-UNIFORM");
@@ -80,7 +80,7 @@ fn rect_nicol_is_thread_invariant() {
 #[test]
 fn jagged_heuristics_are_thread_invariant() {
     for seed in 0..3 {
-        let pfx = PrefixSum2D::new(&random_matrix(36, 28, 100 + seed, seed == 2));
+        let pfx = PrefixSum2D::try_new(&random_matrix(36, 28, 100 + seed, seed == 2)).unwrap();
         for m in [5, 16, 30] {
             assert_thread_invariant(&JagPqHeur::best(), &pfx, m, "JAG-PQ-HEUR-BEST");
             assert_thread_invariant(&JagMHeur::best(), &pfx, m, "JAG-M-HEUR-BEST");
@@ -92,7 +92,7 @@ fn jagged_heuristics_are_thread_invariant() {
 fn jagged_optimals_are_thread_invariant() {
     // The optimal algorithms are expensive; keep instances small.
     for seed in 0..2 {
-        let pfx = PrefixSum2D::new(&random_matrix(14, 12, 200 + seed, seed == 0));
+        let pfx = PrefixSum2D::try_new(&random_matrix(14, 12, 200 + seed, seed == 0)).unwrap();
         for m in [4, 9] {
             assert_thread_invariant(&JagPqOpt::default(), &pfx, m, "JAG-PQ-OPT-BEST");
             assert_thread_invariant(&JagMOpt::default(), &pfx, m, "JAG-M-OPT-BEST");
@@ -103,7 +103,7 @@ fn jagged_optimals_are_thread_invariant() {
 #[test]
 fn hierarchical_heuristics_are_thread_invariant() {
     for seed in 0..2 {
-        let pfx = PrefixSum2D::new(&random_matrix(48, 40, 300 + seed, false));
+        let pfx = PrefixSum2D::try_new(&random_matrix(48, 40, 300 + seed, false)).unwrap();
         // Above and below PARALLEL_PROCS_MIN so both recursion paths run.
         for m in [8, 33, 64] {
             assert_thread_invariant(&HierRb::load(), &pfx, m, "HIER-RB-LOAD");
@@ -114,7 +114,7 @@ fn hierarchical_heuristics_are_thread_invariant() {
 
 #[test]
 fn hier_opt_is_thread_invariant() {
-    let pfx = PrefixSum2D::new(&random_matrix(7, 8, 42, true));
+    let pfx = PrefixSum2D::try_new(&random_matrix(7, 8, 42, true)).unwrap();
     for m in [2, 3, 5] {
         let (ps, vs) = with_threads(1, || rectpart_core::hier_opt(&pfx, m));
         for threads in [2, 5] {
@@ -131,9 +131,9 @@ fn degenerate_shapes_are_thread_invariant() {
     // not panic) at any thread budget.
     for &(rows, cols) in &[(0usize, 5usize), (5, 0), (0, 0), (1, 1)] {
         let mat = LoadMatrix::from_fn(rows, cols, |_, _| 3);
-        let serial = with_threads(1, || PrefixSum2D::new(&mat));
+        let serial = with_threads(1, || PrefixSum2D::try_new(&mat).unwrap());
         for threads in [2, 4] {
-            let parallel = with_threads(threads, || PrefixSum2D::new(&mat));
+            let parallel = with_threads(threads, || PrefixSum2D::try_new(&mat).unwrap());
             assert_eq!(serial.total(), parallel.total(), "{rows}x{cols}");
             assert_eq!(serial.rows(), parallel.rows());
             assert_eq!(serial.cols(), parallel.cols());
@@ -157,7 +157,7 @@ fn degenerate_shapes_are_thread_invariant() {
 #[test]
 fn injected_worker_panics_are_output_invariant() {
     use rectpart_obs::fault::{self, FaultConfig};
-    let pfx = PrefixSum2D::new(&random_matrix(36, 28, 77, true));
+    let pfx = PrefixSum2D::try_new(&random_matrix(36, 28, 77, true)).unwrap();
     let algo = JagMHeur::best();
     let clean: Partition = with_threads(4, || algo.partition(&pfx, 16));
     fault::install(FaultConfig {
@@ -277,11 +277,41 @@ fn sparse_backend_solutions_are_bit_identical_to_dense() {
 
 #[test]
 fn parallelism_config_matches_with_threads() {
+    use rectpart_core::ParallelismConfig;
     let mat = random_matrix(300, 257, 9, false);
-    let a = PrefixSum2D::with_config(&mat, rectpart_core::ParallelismConfig::serial());
-    let b = PrefixSum2D::with_config(&mat, rectpart_core::ParallelismConfig::threads(4));
+    let build = || PrefixSum2D::try_new(&mat).unwrap();
+    let a = ParallelismConfig::serial().run(build);
+    let b = ParallelismConfig::threads(4).run(build);
     assert_eq!(a.total(), b.total());
     for r in [0, 17, 299] {
         assert_eq!(a.load4(0, r + 1, 0, 257), b.load4(0, r + 1, 0, 257));
     }
+}
+
+/// `PrefixSum2D::try_new` takes its backend from `RECTPART_GAMMA`, dense
+/// when unset. CI runs this suite twice, once with the variable unset
+/// and once with `RECTPART_GAMMA=sparse`, so each run checks one branch
+/// of the override the sparse run relies on.
+#[test]
+fn try_new_honours_the_gamma_environment_override() {
+    use rectpart_core::GammaMode;
+    let mode = match std::env::var_os("RECTPART_GAMMA") {
+        None => GammaMode::Dense,
+        Some(v) => v
+            .to_str()
+            .and_then(GammaMode::parse)
+            .unwrap_or_else(|| panic!("RECTPART_GAMMA={v:?} does not parse")),
+    };
+    // 90% zeros: above the Auto threshold, so `auto` picks sparse too.
+    let mat = LoadMatrix::from_fn(20, 20, |r, c| if (r * 20 + c) % 10 == 0 { 7 } else { 0 });
+    let expected = match mode {
+        GammaMode::Dense => GammaMode::Dense,
+        GammaMode::Sparse | GammaMode::Auto => GammaMode::Sparse,
+    };
+    let pfx = PrefixSum2D::try_new(&mat).unwrap();
+    assert_eq!(
+        pfx.backend(),
+        expected,
+        "RECTPART_GAMMA resolves to {mode:?}"
+    );
 }

@@ -12,8 +12,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rectpart_core::{
-    HierRb, HierRelaxed, JagMHeur, JagMOpt, JagPqHeur, JagPqOpt, LoadMatrix, Partitioner,
-    PrefixSum2D, RectNicol, RectUniform,
+    GammaMode, HierRb, HierRelaxed, JagMHeur, JagMOpt, JagPqHeur, JagPqOpt, LoadMatrix,
+    Partitioner, PrefixSum2D, RectNicol, RectUniform,
 };
 use rectpart_obs::Recorder;
 use rectpart_parallel::with_threads;
@@ -45,8 +45,8 @@ fn work_counters_are_thread_invariant_across_all_families() {
         "this test binary must be built with --features obs"
     );
 
-    let pfx = PrefixSum2D::new(&random_matrix(24, 20, 7, true));
-    let small = PrefixSum2D::new(&random_matrix(10, 9, 11, false));
+    let pfx = PrefixSum2D::try_new(&random_matrix(24, 20, 7, true)).unwrap();
+    let small = PrefixSum2D::try_new(&random_matrix(10, 9, 11, false)).unwrap();
 
     // (label, closure) per partitioner family; the optimal algorithms run
     // on the smaller instance.
@@ -91,7 +91,7 @@ fn work_counters_are_thread_invariant_across_all_families() {
         }),
         ("GAMMA-BUILD", {
             let m = random_matrix(300, 260, 3, false);
-            Box::new(move || drop(PrefixSum2D::new(&m)))
+            Box::new(move || drop(PrefixSum2D::try_new(&m).unwrap()))
         }),
         ("GAMMA-BUILD-SPARSE", {
             // ~92% zeros: exercises the CSR-like backend (run detection,
@@ -104,7 +104,7 @@ fn work_counters_are_thread_invariant_across_all_families() {
                     rng.gen_range(1..40)
                 }
             });
-            Box::new(move || drop(PrefixSum2D::try_new_sparse(&m).unwrap()))
+            Box::new(move || drop(PrefixSum2D::try_new_with(&m, GammaMode::Sparse).unwrap()))
         }),
     ];
 
@@ -172,31 +172,6 @@ fn work_counters_are_thread_invariant_across_all_families() {
         );
     }
 
-    // Unbounded-cache invariant: the stripe cache never evicts, so the
-    // eviction counter stays 0 while lookups flow. A future bounded
-    // cache must consciously break this pin (see crates/core/src/cache.rs).
-    let cache_run = counters_under(4, || drop(JagPqOpt::default().partition(&small, 6)));
-    let get_counter = |view: &rectpart_obs::DeterministicView, name: &str| {
-        view.0
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|&(_, v)| v)
-            .unwrap_or(0)
-    };
-    assert!(
-        get_counter(&cache_run, "core.stripe_cache.lookups") > 0,
-        "JAG-PQ-OPT must consult the stripe cache"
-    );
-    assert_eq!(
-        get_counter(&cache_run, "core.stripe_cache.evictions"),
-        0,
-        "the stripe cache is unbounded: evictions must stay 0 by construction"
-    );
-
-    // The substrate counters introduced with the blocked/sparse Γ
-    // builds and the scratch arena are work counters too: they must be
-    // present (the paths really ran) on top of the generic invariance
-    // proven above.
     let get = |view: &rectpart_obs::DeterministicView, name: &str| {
         view.0
             .iter()
@@ -204,8 +179,18 @@ fn work_counters_are_thread_invariant_across_all_families() {
             .map(|&(_, v)| v)
             .unwrap_or(0)
     };
+    let cache_run = counters_under(4, || drop(JagPqOpt::default().partition(&small, 6)));
+    assert!(
+        get(&cache_run, "core.stripe_cache.lookups") > 0,
+        "JAG-PQ-OPT must consult the stripe cache"
+    );
+
+    // The substrate counters introduced with the blocked/sparse Γ
+    // builds and the scratch arena are work counters too: they must be
+    // present (the paths really ran) on top of the generic invariance
+    // proven above.
     let dense_build = counters_under(1, || {
-        drop(PrefixSum2D::new(&random_matrix(300, 260, 3, false)))
+        drop(PrefixSum2D::try_new(&random_matrix(300, 260, 3, false)).unwrap())
     });
     assert!(
         get(&dense_build, "core.gamma.tile_sweeps") > 0,
@@ -220,7 +205,7 @@ fn work_counters_are_thread_invariant_across_all_families() {
         }
     });
     let sparse_build = counters_under(1, || {
-        drop(PrefixSum2D::try_new_sparse(&sparse_mat).unwrap())
+        drop(PrefixSum2D::try_new_with(&sparse_mat, GammaMode::Sparse).unwrap())
     });
     assert!(
         get(&sparse_build, "core.gamma.sparse_runs") > 0,

@@ -1,19 +1,17 @@
 //! Property tests for the sparse Γ backend: on arbitrary matrices (any
 //! zero density, including all-zero and fully dense), the CSR-like
-//! [`SparsePrefixSum`] must answer every rectangle query with exactly
-//! the value the dense prefix-sum table produces, and the facade's
-//! metadata (total, extrema) must agree, and so must the projections
-//! the solvers read instead of per-step queries (`View::stripe_cost`,
-//! `PrefixSum2D::project_into`). The overflow path is pinned
-//! separately via fault injection: forced Γ overflow must surface as
-//! `RectpartError::Overflow` from the sparse constructor too, never as
-//! a wrong answer.
+//! backend (`GammaMode::Sparse`) must answer every rectangle query with
+//! exactly the value the dense prefix-sum table produces, and the
+//! facade's metadata (total, extrema) must agree, and so must the
+//! projections the solvers read instead of per-step queries
+//! (`View::stripe_cost`, `PrefixSum2D::project_into`). The overflow path
+//! is pinned separately via fault injection: forced Γ overflow must
+//! surface as `RectpartError::Overflow` from the sparse build too, never
+//! as a wrong answer.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use rectpart_core::{
-    Axis, GammaBackend, GammaMode, LoadMatrix, PrefixSum2D, Rect, SparsePrefixSum,
-};
+use rectpart_core::{Axis, GammaMode, LoadMatrix, PrefixSum2D, Rect};
 use rectpart_onedim::{FnCost, IntervalCost};
 
 /// Matrix dimensions plus a flat cell vector with a tunable zero bias:
@@ -49,7 +47,8 @@ proptest! {
         let (rows, cols, cells) = shape;
         let m = matrix_from(rows, cols, &cells);
         let dense = PrefixSum2D::try_new_with(&m, GammaMode::Dense).unwrap();
-        let sparse = SparsePrefixSum::try_new(&m).unwrap();
+        let sparse = PrefixSum2D::try_new_with(&m, GammaMode::Sparse).unwrap();
+        prop_assert!(sparse.is_sparse());
         prop_assert_eq!(sparse.total(), dense.total());
         prop_assert_eq!(sparse.max_cell(), dense.max_cell());
         prop_assert_eq!(sparse.min_cell(), dense.min_cell());
@@ -57,14 +56,14 @@ proptest! {
             let (r0, r1) = ((a % rows).min(b % rows), (a % rows).max(b % rows) + 1);
             let (c0, c1) = ((c % cols).min(d % cols), (c % cols).max(d % cols) + 1);
             prop_assert_eq!(
-                sparse.sum4(r0, r1, c0, c1),
-                dense.sum4(r0, r1, c0, c1),
+                sparse.load4(r0, r1, c0, c1),
+                dense.load4(r0, r1, c0, c1),
                 "{}x{} rect [{},{})x[{},{})", rows, cols, r0, r1, c0, c1
             );
         }
         // Degenerate (empty) rectangles answer 0 on both backends.
-        prop_assert_eq!(sparse.sum4(0, 0, 0, cols), 0);
-        prop_assert_eq!(dense.sum4(0, 0, 0, cols), 0);
+        prop_assert_eq!(sparse.load4(0, 0, 0, cols), 0);
+        prop_assert_eq!(dense.load4(0, 0, 0, cols), 0);
     }
 
     #[test]
@@ -178,8 +177,8 @@ proptest! {
 }
 
 /// Forced Γ overflow must surface as `RectpartError::Overflow` from the
-/// sparse constructor exactly as it does from the dense ones — the
-/// fallible surface is backend-independent.
+/// sparse build exactly as it does from the dense one — the fallible
+/// surface is backend-independent.
 #[cfg(feature = "faultinject")]
 #[test]
 fn sparse_constructor_surfaces_injected_overflow() {
@@ -190,12 +189,11 @@ fn sparse_constructor_surfaces_injected_overflow() {
         force_gamma_overflow: true,
         ..FaultConfig::default()
     });
-    let raw = SparsePrefixSum::try_new(&m);
     let facade = PrefixSum2D::try_new_with(&m, GammaMode::Sparse);
     fault::clear();
-    assert!(matches!(raw, Err(RectpartError::Overflow)));
     assert!(matches!(facade, Err(RectpartError::Overflow)));
-    // With the plan cleared both succeed and agree.
-    let ok = SparsePrefixSum::try_new(&m).unwrap();
+    // With the plan cleared the sparse build succeeds and agrees.
+    let ok = PrefixSum2D::try_new_with(&m, GammaMode::Sparse).unwrap();
+    assert!(ok.is_sparse());
     assert_eq!(ok.total(), PrefixSum2D::try_new(&m).unwrap().total());
 }

@@ -10,8 +10,8 @@
 //! every snapshot — that throws away almost everything the previous
 //! iteration computed. [`Engine`] is the long-lived alternative:
 //!
-//! * the load matrix is loaded **once** and Γ is built **once** via the
-//!   configured [`GammaBackend`](rectpart_core::GammaBackend) mode;
+//! * the load matrix is loaded **once** and Γ is built **once** under
+//!   the configured [`GammaMode`];
 //! * [`Engine::apply_delta`] patches the resident Γ row-incrementally
 //!   (`O(changed_rows × n)` for the column pass instead of a full
 //!   rebuild) with the same bit-identity guarantee as a cold rebuild,
@@ -720,7 +720,7 @@ mod tests {
         };
         let got = engine.solve(&q).unwrap();
         let sub = LoadMatrix::from_fn(16, 20, |r, c| matrix.get(4 + r, 3 + c));
-        let pfx = PrefixSum2D::new(&sub);
+        let pfx = PrefixSum2D::try_new(&sub).unwrap();
         let oracle = JagMOpt::default().partition(&pfx, 5);
         for (g, o) in got.partition.rects().iter().zip(oracle.rects()) {
             assert_eq!(

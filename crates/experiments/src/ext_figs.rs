@@ -269,7 +269,8 @@ pub fn ext_g(instances: &Instances, out: &Path) {
         vec!["imbalance".into(), "runtime ms".into()],
     );
     for factor in [1usize, 2, 4, 8, 16] {
-        let ml = Multilevel::new(matrix, JagMHeur::best(), factor);
+        let ml = Multilevel::try_new(matrix, JagMHeur::best(), factor)
+            .expect("experiment instance overflows u64 total load");
         let t0 = Instant::now();
         let part = ml.partition(&pfx, m);
         let ms = t0.elapsed().as_secs_f64() * 1e3;

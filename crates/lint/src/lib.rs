@@ -38,4 +38,4 @@ pub mod symbols;
 pub mod workspace;
 
 pub use rules::{lint_file, Diagnostic, FileContext, Rule};
-pub use workspace::{default_root, lint_workspace, lint_workspace_v2, report, report_v2};
+pub use workspace::{default_root, lint_workspace_v2, report_v2};

@@ -6,13 +6,12 @@
 //! ```text
 //! rectpart-lint [--root <path>] [--format text|json]
 //!               [--baseline <path>] [--no-baseline] [--update-baseline]
-//!               [--v1]
 //! ```
 //!
-//! The default run is the full v2 pass with the committed baseline
+//! Every run is the full v2 pass (per-file rules L1–L5 plus the
+//! call-graph rules L6–L8) with the committed baseline
 //! (`crates/lint/lint-baseline.txt`). `--update-baseline` rewrites that
-//! file from the current findings and exits 0; `--v1` restores the old
-//! per-file L1–L5 pass.
+//! file from the current findings and exits 0.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -24,7 +23,6 @@ fn main() -> ExitCode {
     let mut baseline: Option<PathBuf> = None;
     let mut no_baseline = false;
     let mut update_baseline = false;
-    let mut v1 = false;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => match args.next() {
@@ -51,7 +49,6 @@ fn main() -> ExitCode {
             },
             "--no-baseline" => no_baseline = true,
             "--update-baseline" => update_baseline = true,
-            "--v1" => v1 = true,
             "--help" | "-h" => {
                 println!(
                     "rectpart-lint: workspace invariant linter (rules L1-L8)\n\
@@ -63,7 +60,6 @@ fn main() -> ExitCode {
                        --baseline <path>   suppression file (default: crates/lint/lint-baseline.txt)\n\
                        --no-baseline       ignore the baseline; report every finding\n\
                        --update-baseline   rewrite the baseline from current findings, exit 0\n\
-                       --v1                per-file rules L1-L5 only (no call-graph pass)\n\
                      \n\
                      see DESIGN.md sections 11 and 15 for the rule catalog"
                 );
@@ -74,22 +70,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         }
-    }
-
-    if v1 {
-        return match rectpart_lint::lint_workspace(&root) {
-            Ok(diags) => {
-                if rectpart_lint::report(&diags) == 0 {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                }
-            }
-            Err(e) => {
-                eprintln!("rectpart-lint: I/O error walking {}: {e}", root.display());
-                ExitCode::from(2)
-            }
-        };
     }
 
     let baseline_path =

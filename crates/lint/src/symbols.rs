@@ -414,7 +414,7 @@ impl CallGraph {
     }
 
     /// Renders the witness chain from `id` down to the root construct:
-    /// `a → b → c; root: slice index `xs[i]` at file:line`. Chains are
+    /// ``a → b → c; root: slice index `xs[i]` at file:line``. Chains are
     /// capped at 8 hops to keep diagnostics readable.
     pub fn chain(
         &self,

@@ -2,13 +2,10 @@
 //! and the vendored shims), reads its manifest, and runs the rule
 //! catalog over each `.rs` file.
 //!
-//! Two entry points share the walk:
-//!
-//! * [`lint_workspace`] — the v1 per-file pass (rules L1–L5), kept
-//!   stable for existing callers and tests;
-//! * [`lint_workspace_v2`] — v1 **plus** the call-graph pass
-//!   ([`crate::analyze`], rules L6–L8), with an optional baseline file
-//!   that suppresses accepted legacy findings (DESIGN.md §15.4).
+//! [`lint_workspace_v2`] runs the per-file rules L1–L5 **plus** the
+//! call-graph pass ([`crate::analyze`], rules L6–L8), with an optional
+//! baseline file that suppresses accepted legacy findings (DESIGN.md
+//! §15.4).
 
 use crate::analyze::analyze_files;
 use crate::manifest;
@@ -138,20 +135,6 @@ fn forbid_attr_diags(files: &[(FileContext, String)]) -> Vec<Diagnostic> {
         }
     }
     out
-}
-
-/// Lints the whole workspace rooted at `root` with the v1 rules (L1–L5);
-/// diagnostics come back sorted by file and line.
-pub fn lint_workspace(root: &Path) -> io::Result<Vec<Diagnostic>> {
-    let files = workspace_files(root)?;
-    let mut out = Vec::new();
-    for (ctx, source) in &files {
-        out.extend(lint_file(ctx, source));
-    }
-    out.extend(forbid_attr_diags(&files));
-    out.sort();
-    out.dedup();
-    Ok(out)
 }
 
 /// Result of the full v2 run (L1–L8 plus call-graph statistics).
@@ -358,25 +341,6 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
         }
     }
     Ok(())
-}
-
-/// Renders diagnostics and returns the process exit code (0 = clean).
-pub fn report(diags: &[Diagnostic]) -> i32 {
-    for d in diags {
-        println!("{d}");
-    }
-    if diags.is_empty() {
-        println!("rectpart-lint: workspace clean (rules L1-L5)");
-        0
-    } else {
-        let rules: BTreeSet<&str> = diags.iter().map(|d| d.rule.id()).collect();
-        println!(
-            "rectpart-lint: {} violation(s) across {:?}",
-            diags.len(),
-            rules
-        );
-        1
-    }
 }
 
 /// Renders a v2 report in text form and returns the exit code.

@@ -2,16 +2,17 @@
 //!
 //! Two halves:
 //!
-//! 1. `workspace_is_clean` runs the full workspace walk — this is the
-//!    `#[test]` wiring that makes `cargo test` enforce L1–L5 on every
-//!    run, not just when the binary is invoked.
+//! 1. `workspace_is_clean_v2` runs the full workspace walk (rules
+//!    L1–L8 against the committed baseline) — this is the `#[test]`
+//!    wiring that makes `cargo test` enforce the rules on every run, not
+//!    just when the binary is invoked.
 //! 2. The fixture tests lint each file under `fixtures/` in isolation
 //!    and assert it triggers exactly its own rule (and that the
 //!    `lint:allow` escape hatch behaves).
 
 use rectpart_lint::analyze::analyze_files;
 use rectpart_lint::workspace::{default_baseline, lint_workspace_v2, render_json, WorkspaceReport};
-use rectpart_lint::{default_root, lint_file, lint_workspace, Diagnostic, FileContext, Rule};
+use rectpart_lint::{default_root, lint_file, Diagnostic, FileContext, Rule};
 use std::collections::BTreeSet;
 
 /// A synthetic context standing in for library code of a crate that is
@@ -47,20 +48,6 @@ fn assert_only(diags: &[Diagnostic], rule: Rule, lines: &[usize]) {
     let got: BTreeSet<usize> = diags.iter().map(|d| d.line).collect();
     let want: BTreeSet<usize> = lines.iter().copied().collect();
     assert_eq!(got, want, "flagged lines diverged for {rule:?}");
-}
-
-#[test]
-fn workspace_is_clean() {
-    let diags = lint_workspace(&default_root()).expect("workspace walk failed");
-    assert!(
-        diags.is_empty(),
-        "workspace has lint violations:\n{}",
-        diags
-            .iter()
-            .map(|d| d.to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
 }
 
 #[test]

@@ -61,9 +61,6 @@ pub enum Counter {
     StripeCacheLookups,
     /// `StripeCache` first-inserts (distinct keys actually solved).
     StripeCacheMisses,
-    /// `StripeCache` evictions. Always 0 today (the cache is unbounded);
-    /// kept so the stats schema is stable when a bounded policy lands.
-    StripeCacheEvictions,
     /// `JAG-M-OPT` feasibility probes (one per budget tried).
     JagMFeasibilityChecks,
     /// `JAG-M-OPT` lazy stripe evaluations actually performed.
@@ -85,7 +82,7 @@ pub enum Counter {
     /// row-prefix pass identically) report the same value at any thread
     /// count. Sparse builds charge 0 (they are not tiled).
     GammaTileSweeps,
-    /// Nonzero runs stored by a `SparsePrefixSum` build — a pure function
+    /// Nonzero runs stored by a sparse Γ build — a pure function
     /// of the input matrix (one per maximal run of consecutive nonzero
     /// cells in a row). Dense builds charge 0.
     SparseGammaRuns,
@@ -124,7 +121,7 @@ pub enum Counter {
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 26;
+pub const COUNTER_COUNT: usize = 25;
 
 impl Counter {
     /// All counters, in stable report order.
@@ -136,7 +133,6 @@ impl Counter {
         Counter::ParametricSteps,
         Counter::StripeCacheLookups,
         Counter::StripeCacheMisses,
-        Counter::StripeCacheEvictions,
         Counter::JagMFeasibilityChecks,
         Counter::JagMLazyEvals,
         Counter::JagMLazySkips,
@@ -167,7 +163,6 @@ impl Counter {
             Counter::ParametricSteps => "onedim.parametric_steps",
             Counter::StripeCacheLookups => "core.stripe_cache.lookups",
             Counter::StripeCacheMisses => "core.stripe_cache.misses",
-            Counter::StripeCacheEvictions => "core.stripe_cache.evictions",
             Counter::JagMFeasibilityChecks => "core.jag_m.feasibility_checks",
             Counter::JagMLazyEvals => "core.jag_m.lazy_evals",
             Counter::JagMLazySkips => "core.jag_m.lazy_skips",
@@ -211,10 +206,10 @@ pub enum ExecStat {
     WorkerPanicsCaught,
     /// Units re-executed sequentially after a caught worker panic.
     PanicRetries,
-    /// Overflow-guarded accumulation steps performed while building Γ
-    /// (the before/after metric of the blocked construction: the
-    /// reference build charges two per cell, the blocked build only its
-    /// hoisted per-tile boundary checks). An exec stat, not a
+    /// Overflow-guarded accumulation steps performed while building dense
+    /// Γ: the blocked build charges only its hoisted per-tile boundary
+    /// checks (the per-cell-checked reference build in `core`'s tests
+    /// charges two per cell). An exec stat, not a
     /// [`Counter`]: the serial and parallel constructions perform
     /// different numbers of checks for the same input, and which one runs
     /// is decided by the thread budget.

@@ -20,9 +20,9 @@
 //!   [`DegradationReport`](rectpart_robust::DegradationReport) are
 //!   bit-identical to an uninterrupted run at any thread count.
 //! * **Fault campaign** — with the default-off `faultinject` feature,
-//!   [`campaign`] replays a deterministic matrix of crash/corruption
-//!   scenarios (crash at checkpoint *k*, torn snapshot, checksum
-//!   corruption, stale snapshot, repeated rung panics, mid-rung
+//!   the `campaign` module replays a deterministic matrix of
+//!   crash/corruption scenarios (crash at checkpoint *k*, torn snapshot,
+//!   checksum corruption, stale snapshot, repeated rung panics, mid-rung
 //!   cancellation); the `rectpart-soak` binary runs it end to end.
 //!
 //! ```

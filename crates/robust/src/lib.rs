@@ -34,7 +34,7 @@
 //! let m = LoadMatrix::from_fn(8, 8, |r, c| (r * c) as u32);
 //! let out = SolverDriver::new().with_budget(1_000_000).try_solve(&m, 4).unwrap();
 //! assert_eq!(out.report.answered_by.as_deref(), Some("JAG-M-OPT-BEST"));
-//! assert!(out.partition.validate(&rectpart_core::PrefixSum2D::new(&m)).is_ok());
+//! assert!(out.partition.validate(&rectpart_core::PrefixSum2D::try_new(&m).unwrap()).is_ok());
 //! ```
 
 #![forbid(unsafe_code)]

@@ -59,7 +59,7 @@ fn unbudgeted_solve_answers_with_first_rung() {
         assert_eq!(r.outcome, RungOutcome::NotReached);
         assert_eq!(r.work, 0);
     }
-    let pfx = PrefixSum2D::new(&demo_matrix());
+    let pfx = PrefixSum2D::try_new(&demo_matrix()).unwrap();
     assert!(out.partition.validate(&pfx).is_ok());
     let RungOutcome::Answered { lmax } = out.report.rungs[0].outcome else {
         unreachable!()

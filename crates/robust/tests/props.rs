@@ -33,7 +33,7 @@ proptest! {
             let driver = SolverDriver::new().with_ladder([name.clone()]);
             match driver.try_solve(&matrix, m) {
                 Ok(out) => {
-                    let pfx = PrefixSum2D::new(&matrix);
+                    let pfx = PrefixSum2D::try_new(&matrix).unwrap();
                     prop_assert!(out.partition.validate(&pfx).is_ok(),
                         "{name}: invalid cover on {rows}x{cols} m={m}");
                     prop_assert_eq!(out.report.answered_by.as_deref(), Some(name.as_str()));
@@ -62,7 +62,7 @@ proptest! {
             return;
         }
         let out = SolverDriver::new().try_solve(&matrix, m).unwrap();
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         prop_assert!(out.partition.validate(&pfx).is_ok());
         prop_assert_eq!(out.partition.parts(), m);
         prop_assert!(out.report.answered_by.is_some());
@@ -75,15 +75,21 @@ fn degenerate_instances_never_panic() {
     // All-zero load: any m is fine, bottleneck 0.
     let zeros = LoadMatrix::zeros(3, 3);
     let out = driver.try_solve(&zeros, 9).unwrap();
-    assert_eq!(out.partition.lmax(&PrefixSum2D::new(&zeros)), 0);
+    assert_eq!(
+        out.partition.lmax(&PrefixSum2D::try_new(&zeros).unwrap()),
+        0
+    );
     // Single cell.
     let one = LoadMatrix::from_vec(1, 1, vec![7]);
     let out = driver.try_solve(&one, 1).unwrap();
-    assert_eq!(out.partition.lmax(&PrefixSum2D::new(&one)), 7);
+    assert_eq!(out.partition.lmax(&PrefixSum2D::try_new(&one).unwrap()), 7);
     // Degenerate strips.
     for (rows, cols) in [(1usize, 6usize), (6, 1)] {
         let strip = LoadMatrix::from_fn(rows, cols, |r, c| (r + c) as u32 + 1);
         let out = driver.try_solve(&strip, 3).unwrap();
-        assert!(out.partition.validate(&PrefixSum2D::new(&strip)).is_ok());
+        assert!(out
+            .partition
+            .validate(&PrefixSum2D::try_new(&strip).unwrap())
+            .is_ok());
     }
 }

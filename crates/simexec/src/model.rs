@@ -62,7 +62,7 @@ pub struct ExecutionReport {
 /// use rectpart_core::{HierRb, LoadMatrix, Partitioner, PrefixSum2D};
 /// use rectpart_simexec::{CommModel, Simulator};
 ///
-/// let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(32, 32, |_, _| 5));
+/// let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(32, 32, |_, _| 5)).unwrap();
 /// let part = HierRb::load().partition(&pfx, 16);
 /// let report = Simulator::new(CommModel::default()).evaluate(&pfx, &part);
 /// assert!(report.speedup > 1.0 && report.speedup <= 16.0);
@@ -213,7 +213,7 @@ mod tests {
     use rectpart_core::{LoadMatrix, Rect};
 
     fn uniform_pfx(n: usize) -> PrefixSum2D {
-        PrefixSum2D::new(&LoadMatrix::from_fn(n, n, |_, _| 1))
+        PrefixSum2D::try_new(&LoadMatrix::from_fn(n, n, |_, _| 1)).unwrap()
     }
 
     #[test]
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn migration_counts_moved_cells_and_load() {
         let mat = LoadMatrix::from_fn(4, 4, |r, _| (r + 1) as u32);
-        let pfx = PrefixSum2D::new(&mat);
+        let pfx = PrefixSum2D::try_new(&mat).unwrap();
         let a = Partition::new(vec![Rect::new(0, 2, 0, 4), Rect::new(2, 4, 0, 4)]);
         let b = Partition::new(vec![Rect::new(0, 3, 0, 4), Rect::new(3, 4, 0, 4)]);
         let rep = migration(&pfx, &a, &b);
@@ -319,7 +319,7 @@ mod hetero_tests {
 
     #[test]
     fn faster_processors_finish_sooner() {
-        let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(8, 8, |_, _| 1));
+        let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(8, 8, |_, _| 1)).unwrap();
         let part = Partition::new(vec![Rect::new(0, 4, 0, 8), Rect::new(4, 8, 0, 8)]);
         let model = CommModel {
             alpha: 1.0,
@@ -342,7 +342,7 @@ mod hetero_tests {
     #[test]
     #[should_panic(expected = "length must match")]
     fn speed_vector_length_is_checked() {
-        let pfx = PrefixSum2D::new(&LoadMatrix::from_fn(2, 2, |_, _| 1));
+        let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(2, 2, |_, _| 1)).unwrap();
         let part = Partition::new(vec![Rect::new(0, 2, 0, 2)]);
         let _ = Simulator::with_speeds(CommModel::default(), vec![1.0, 1.0]).evaluate(&pfx, &part);
     }

@@ -265,7 +265,7 @@ mod tests {
     #[test]
     fn parallel_matches_sequential_exactly() {
         let m = small_matrix();
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let cfg = StencilConfig {
             iterations: 5,
             work_scale: 0,
@@ -290,7 +290,7 @@ mod tests {
     #[test]
     fn even_iteration_count_also_correct() {
         let m = small_matrix();
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let cfg = StencilConfig {
             iterations: 4,
             work_scale: 0,
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn heterogeneous_work_is_exercised() {
         let m = small_matrix();
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         let part = JagMHeur::best().partition(&pfx, 4);
         let cfg = StencilConfig {
             iterations: 2,

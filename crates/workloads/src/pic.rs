@@ -322,7 +322,7 @@ mod tests {
             (1.05..4.0).contains(&delta),
             "delta {delta} out of the plausible PIC-MAG band"
         );
-        let pfx = PrefixSum2D::new(&m);
+        let pfx = PrefixSum2D::try_new(&m).unwrap();
         assert_eq!(pfx.total(), m.total());
     }
 

@@ -17,7 +17,7 @@ fn main() {
     let n = 48;
     let m = 12;
     let matrix = multi_peak(n, n, 7).build();
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).expect("total load overflows u64");
     println!(
         "instance: {n}x{n} Multi-peak, total {}, m = {m}, lower bound = {}",
         pfx.total(),
@@ -51,7 +51,7 @@ fn main() {
     // On a tiny instance, compare every class against the NP-hard
     // arbitrary-rectangle optimum.
     let tiny = LoadMatrix::from_fn(6, 6, |r, c| 1 + ((r * 31 + c * 17) % 13) as u32);
-    let tiny_pfx = PrefixSum2D::new(&tiny);
+    let tiny_pfx = PrefixSum2D::try_new(&tiny).expect("total load overflows u64");
     let (arb, arb_value) = exhaustive_opt(&tiny_pfx, 4);
     println!(
         "\n6x6 oracle, m = 4: arbitrary optimum Lmax = {arb_value}, \

@@ -11,7 +11,7 @@ use rectpart::prelude::*;
 
 fn main() {
     let matrix = diagonal(256, 256, 11).build();
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).expect("total load overflows u64");
     let m = 256;
     println!(
         "instance: 256x256 Diagonal, m = {m}, serial work = {}",

@@ -30,7 +30,7 @@ fn main() {
     );
     println!("\nsilhouette:\n{}", matrix.ascii_art(20, 56));
 
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).expect("total load overflows u64");
     let m = 144;
     println!("{:<22} {:>12} {:>12}", "algorithm", "Lmax", "imbalance");
     for algo in standard_heuristics() {

@@ -13,7 +13,7 @@ fn main() {
     println!("instance: 256x256 Peak, total load {}", matrix.total());
 
     // The 2D prefix-sum array Γ answers rectangle loads in O(1).
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).expect("total load overflows u64");
 
     // m-way jagged heuristic — the paper's overall winner (JAG-M-HEUR).
     let m = 100;

@@ -31,7 +31,7 @@ fn main() {
         cost.ascii_art(18, 48)
     );
 
-    let pfx = PrefixSum2D::new(&cost);
+    let pfx = PrefixSum2D::try_new(&cost).expect("total load overflows u64");
     let m = 64;
     println!("{:<22} {:>12} {:>12}", "algorithm", "Lmax", "imbalance");
     for algo in standard_heuristics() {

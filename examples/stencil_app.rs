@@ -23,7 +23,7 @@ fn main() {
     // Compress the peak's dynamic range so a single cell cannot dominate
     // a whole thread (work per cell = sqrt of the instance load).
     let work = LoadMatrixExt::sqrt_loads(&matrix);
-    let pfx = PrefixSum2D::new(&work);
+    let pfx = PrefixSum2D::try_new(&work).expect("total load overflows u64");
     let cfg = StencilConfig {
         iterations: 6,
         work_scale: 8,

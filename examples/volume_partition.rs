@@ -61,7 +61,7 @@ fn main() {
     // The paper's pipeline: accumulate along the depth axis, partition in
     // 2D, extrude each rectangle through the full depth.
     let flat = volume.flatten(Axis3::Z);
-    let pfx2 = PrefixSum2D::new(&flat);
+    let pfx2 = PrefixSum2D::try_new(&flat).expect("total load overflows u64");
     let part2 = JagMHeur::best().partition(&pfx2, m);
     let depth = volume.dims().2;
     let extruded = Partition3::new(

@@ -32,7 +32,7 @@
 //!
 //! // A 128x128 synthetic instance with a load peak (paper §4.1).
 //! let matrix = peak(128, 128, 7).build();
-//! let pfx = PrefixSum2D::new(&matrix);
+//! let pfx = PrefixSum2D::try_new(&matrix).unwrap();
 //!
 //! // Partition for 100 processors with the paper's best heuristic.
 //! let partition = JagMHeur::best().partition(&pfx, 100);

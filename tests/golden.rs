@@ -87,7 +87,7 @@ fn golden_bottlenecks_are_stable() {
     for &(wl, algo, m, expected) in GOLDEN {
         let pfx = cache
             .entry(wl)
-            .or_insert_with(|| PrefixSum2D::new(&workload(wl)));
+            .or_insert_with(|| PrefixSum2D::try_new(&workload(wl)).unwrap());
         let got = algorithm(algo).partition(pfx, m).lmax(pfx);
         assert_eq!(
             got, expected,

@@ -39,7 +39,7 @@ fn lemma1_bounds_direct_cut_on_positive_arrays() {
 fn theorem1_bounds_jag_pq_heur() {
     for seed in 0..6 {
         let matrix = positive_matrix(48, 3, seed);
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let delta = pfx.delta().unwrap();
         for m in [9usize, 16, 25] {
             let p = (m as f64).sqrt() as usize;
@@ -58,7 +58,7 @@ fn theorem1_bounds_jag_pq_heur() {
 fn theorem3_bounds_jag_m_heur() {
     for seed in 0..6 {
         let matrix = positive_matrix(48, 3, 100 + seed);
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let delta = pfx.delta().unwrap();
         for m in [16usize, 25, 49] {
             let p = (m as f64).sqrt() as usize;

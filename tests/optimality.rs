@@ -11,13 +11,14 @@ use rectpart::core::{
 
 fn random_pfx(rows: usize, cols: usize, seed: u64, zero_prob: f64) -> PrefixSum2D {
     let mut rng = StdRng::seed_from_u64(seed);
-    PrefixSum2D::new(&LoadMatrix::from_fn(rows, cols, |_, _| {
+    PrefixSum2D::try_new(&LoadMatrix::from_fn(rows, cols, |_, _| {
         if rng.gen_bool(zero_prob) {
             0
         } else {
             rng.gen_range(1..60)
         }
     }))
+    .unwrap()
 }
 
 #[test]

@@ -44,8 +44,8 @@ fn pic_to_partition_to_simulation() {
 fn migration_is_bounded_by_cell_count() {
     let a = peak(32, 32, 1).build();
     let b = peak(32, 32, 2).build(); // different peak location
-    let pfx_b = PrefixSum2D::new(&b);
-    let pa = HierRb::load().partition(&PrefixSum2D::new(&a), 8);
+    let pfx_b = PrefixSum2D::try_new(&b).unwrap();
+    let pa = HierRb::load().partition(&PrefixSum2D::try_new(&a).unwrap(), 8);
     let pb = HierRb::load().partition(&pfx_b, 8);
     let rep = migration(&pfx_b, &pa, &pb);
     assert!(rep.cells <= 32 * 32);
@@ -55,7 +55,7 @@ fn migration_is_bounded_by_cell_count() {
 #[test]
 fn simulator_speedup_is_capped_by_processor_count() {
     let matrix = uniform(64, 64, 3).delta(1.2).build();
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).unwrap();
     let sim = Simulator::default();
     for m in [2, 8, 32] {
         let p = JagMHeur::best().partition(&pfx, m);
@@ -74,8 +74,8 @@ fn matrices_survive_csv_roundtrip_and_partition_identically() {
     let back = read_csv(&path).unwrap();
     std::fs::remove_file(&path).ok();
     assert_eq!(matrix, back);
-    let a = JagMHeur::best().partition(&PrefixSum2D::new(&matrix), 7);
-    let b = JagMHeur::best().partition(&PrefixSum2D::new(&back), 7);
+    let a = JagMHeur::best().partition(&PrefixSum2D::try_new(&matrix).unwrap(), 7);
+    let b = JagMHeur::best().partition(&PrefixSum2D::try_new(&back).unwrap(), 7);
     assert_eq!(a.rects(), b.rects(), "partitioning must be deterministic");
 }
 
@@ -91,7 +91,7 @@ fn mesh_instances_favor_space_adaptive_methods() {
         ..MeshConfig::default()
     }
     .generate();
-    let pfx = PrefixSum2D::new(&mesh);
+    let pfx = PrefixSum2D::try_new(&mesh).unwrap();
     let m = 36;
     let grid = RectUniform::default()
         .partition(&pfx, m)

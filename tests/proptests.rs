@@ -24,7 +24,7 @@ proptest! {
 
     #[test]
     fn prefix_sums_match_naive(matrix in arb_matrix()) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         prop_assert_eq!(pfx.total(), matrix.total());
         let rows = matrix.rows();
         let cols = matrix.cols();
@@ -68,7 +68,7 @@ proptest! {
 
     #[test]
     fn all_heuristics_tile_random_matrices(matrix in arb_matrix(), m in 1usize..12) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         for algo in standard_heuristics() {
             let p = algo.partition(&pfx, m);
             prop_assert!(p.validate(&pfx).is_ok(), "{} failed: {:?}", algo.name(), p.validate(&pfx));
@@ -79,7 +79,7 @@ proptest! {
 
     #[test]
     fn m_opt_never_beaten_by_jagged_heuristics(matrix in arb_matrix(), m in 1usize..7) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let opt = JagMOpt::default().partition(&pfx, m);
         prop_assert!(opt.validate(&pfx).is_ok());
         let heur = rectpart::core::JagMHeur::best().partition(&pfx, m);
@@ -89,7 +89,7 @@ proptest! {
 
     #[test]
     fn owner_map_partitions_cells(matrix in arb_matrix(), m in 1usize..9) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let p = rectpart::core::HierRb::load().partition(&pfx, m);
         let owners = p.owner_map(matrix.rows(), matrix.cols());
         prop_assert!(owners.iter().all(|&o| o != u32::MAX && (o as usize) < m));
@@ -110,7 +110,7 @@ proptest! {
 
     #[test]
     fn spiral_tiles_random_matrices(matrix in arb_matrix(), m in 1usize..12) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let p = rectpart::core::SpiralRelaxed::default().partition(&pfx, m);
         prop_assert!(p.validate(&pfx).is_ok());
         prop_assert!(p.lmax(&pfx) >= pfx.lower_bound(m));
@@ -118,7 +118,7 @@ proptest! {
 
     #[test]
     fn tree_index_agrees_with_linear_scan(matrix in arb_matrix(), m in 1usize..10) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let part = rectpart::core::HierRelaxed::load().partition(&pfx, m);
         let idx = rectpart::core::RectTreeIndex::new(&part);
         for r in 0..matrix.rows() {
@@ -130,7 +130,7 @@ proptest! {
 
     #[test]
     fn jagged_index_agrees_on_jagged_output(matrix in arb_matrix(), m in 1usize..10) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let part = rectpart::core::JagMHeur::best().partition(&pfx, m);
         if let Some(idx) = rectpart::core::JaggedIndex::detect(&part) {
             for r in 0..matrix.rows() {
@@ -151,15 +151,15 @@ proptest! {
 
     #[test]
     fn multilevel_tiles_random_matrices(matrix in arb_matrix(), m in 1usize..8, factor in 1usize..4) {
-        let pfx = PrefixSum2D::new(&matrix);
-        let ml = rectpart::core::Multilevel::new(&matrix, rectpart::core::JagMHeur::best(), factor);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
+        let ml = rectpart::core::Multilevel::try_new(&matrix, rectpart::core::JagMHeur::best(), factor).unwrap();
         let p = ml.partition(&pfx, m);
         prop_assert!(p.validate(&pfx).is_ok());
     }
 
     #[test]
     fn partition_stats_are_consistent(matrix in arb_matrix(), m in 1usize..9) {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         let part = rectpart::core::HierRb::load().partition(&pfx, m);
         let s = rectpart::core::PartitionStats::compute(&pfx, &part);
         prop_assert_eq!(s.lmax, part.lmax(&pfx));

@@ -78,7 +78,7 @@ fn every_heuristic_answers_identically_on_both_gamma_backends() {
 #[test]
 fn every_heuristic_tiles_every_workload() {
     for (name, matrix) in workload_zoo() {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         for algo in standard_heuristics() {
             for m in [1, 2, 7, 16, 25, 60] {
                 let p = algo.partition(&pfx, m);
@@ -102,7 +102,7 @@ fn every_heuristic_tiles_every_workload() {
 #[test]
 fn optimal_algorithms_tile_every_workload() {
     for (name, matrix) in workload_zoo() {
-        let pfx = PrefixSum2D::new(&matrix);
+        let pfx = PrefixSum2D::try_new(&matrix).unwrap();
         for m in [1, 4, 9] {
             for algo in [
                 &JagPqOpt::default() as &dyn Partitioner,
@@ -119,7 +119,7 @@ fn optimal_algorithms_tile_every_workload() {
 #[test]
 fn per_processor_loads_sum_to_total() {
     let matrix = multi_peak(48, 48, 9).build();
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).unwrap();
     for algo in standard_heuristics() {
         let p = algo.partition(&pfx, 13);
         let loads = p.loads(&pfx);
@@ -136,7 +136,7 @@ fn per_processor_loads_sum_to_total() {
 #[test]
 fn imbalance_is_consistent_with_lmax() {
     let matrix = peak(32, 32, 5).build();
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).unwrap();
     for algo in standard_heuristics() {
         for m in [4, 9] {
             let p = algo.partition(&pfx, m);
@@ -150,7 +150,7 @@ fn imbalance_is_consistent_with_lmax() {
 fn extreme_processor_counts() {
     // m = 1 and m >= cells must both work for every algorithm.
     let matrix = uniform(6, 6, 8).delta(2.0).build();
-    let pfx = PrefixSum2D::new(&matrix);
+    let pfx = PrefixSum2D::try_new(&matrix).unwrap();
     for algo in standard_heuristics() {
         let one = algo.partition(&pfx, 1);
         assert_eq!(one.lmax(&pfx), pfx.total(), "{}", algo.name());

@@ -45,7 +45,7 @@ fn extruded_2d_partition_matches_flattened_imbalance() {
     let volume = peak3(16, 16, 12, 5);
     let pfx3 = PrefixSum3D::new(&volume);
     let flat = volume.flatten(Axis3::Z);
-    let pfx2 = PrefixSum2D::new(&flat);
+    let pfx2 = PrefixSum2D::try_new(&flat).unwrap();
     let m = 9;
     let part2 = JagMHeur::best().partition(&pfx2, m);
     let extruded = Partition3::new(
@@ -71,7 +71,7 @@ fn native_3d_beats_or_matches_extrusion_on_uniform_volumes() {
     let volume = uniform3(12, 12, 12, 1.2, 3);
     let pfx3 = PrefixSum3D::new(&volume);
     let flat = volume.flatten(Axis3::Z);
-    let pfx2 = PrefixSum2D::new(&flat);
+    let pfx2 = PrefixSum2D::try_new(&flat).unwrap();
     let m = 8;
     let flat_imb = JagMHeur::best().partition(&pfx2, m).load_imbalance(&pfx2);
     let hier3 = HierRb3.partition(&pfx3, m).load_imbalance(&pfx3);

@@ -1,23 +1,25 @@
-//! Resident-engine serving benchmark: cold re-solves vs a warm engine
-//! over a drifting PIC-MAG time series, with a machine-readable export.
+//! Resident-engine serving benchmark: cold re-solves vs a resident
+//! engine over a drifting PIC-MAG time series, with a machine-readable
+//! export.
 //!
 //! The engine's pitch (DESIGN.md §17) is that a long-lived process
 //! serving partition queries against a slowly drifting load matrix
-//! should not pay for a full Γ rebuild and a cold bisection on every
-//! snapshot. This benchmark prices that claim with deterministic obs
-//! counters (not wall clock, so the numbers are comparable across
-//! machines and provable on a single-core CI host):
+//! should not pay for a full Γ rebuild on every snapshot. This
+//! benchmark prices that claim with deterministic obs counters (not
+//! wall clock, so the numbers are comparable across machines and
+//! provable on a single-core CI host):
 //!
 //! * **cold path** — every snapshot gets a fresh engine: one Γ build
-//!   and one unseeded `JAG-M-OPT-BEST` solve per snapshot.
-//! * **warm path** — one resident engine across the series: row deltas
-//!   are applied through [`Engine::apply_delta`] (row-incremental Γ
-//!   patching) and each re-solve is warm-started from the previous
-//!   snapshot's incumbent.
+//!   and one `JAG-M-OPT-BEST` solve per snapshot.
+//! * **warm path** (the JSON key; the resident path) — one engine
+//!   across the series: row deltas are applied through
+//!   [`Engine::apply_delta`] (row-incremental Γ patching) and each
+//!   snapshot is re-solved on the patched Γ.
 //!
 //! Both paths must produce **bit-identical** partitions (asserted
-//! inline); the warm path must spend strictly fewer Γ builds and
-//! strictly fewer work units (also asserted, when instrumented). Two
+//! inline). When instrumented, the bench also asserts that every solve
+//! counter is equal on both paths (both solve on the same Γ) and that the
+//! warm path spends strictly fewer Γ builds and work units. Two
 //! series run, one per Γ backend, so the dense sweep-patch and the
 //! sparse row-splice are both priced. Results land in
 //! `BENCH_engine.json` at the workspace root, which CI gates with
@@ -33,16 +35,14 @@ use rectpart_parallel::with_threads;
 use rectpart_workloads::{pic_trace, PicConfig, PicSnapshot};
 
 /// Parts per query — large enough that JAG-M-OPT's bisection has a
-/// real search range to shrink with a warm-start incumbent.
+/// real search range.
 const M: usize = 12;
-/// The algorithm served: the paper's best optimal class, and the one
-/// the engine warm-starts (seeded incumbent + probe skipping).
+/// The algorithm served: the paper's best optimal class.
 const ALGO: &str = "JAG-M-OPT-BEST";
 
 /// A drift series scaled so deltas stay row-sparse: few particles on a
 /// 64×64 grid with a small time step, so consecutive snapshots differ
-/// in well under half the rows and the engine's work model picks the
-/// row-incremental patch over a rebuild.
+/// in well under half the rows.
 fn series_config(base_load: u32, seed: u64) -> PicConfig {
     PicConfig {
         rows: 64,
@@ -77,7 +77,7 @@ fn row_deltas(prev: &LoadMatrix, next: &LoadMatrix) -> Vec<RowUpdate> {
         .collect()
 }
 
-/// Cold oracle: a fresh engine (fresh Γ, no incumbents) per snapshot.
+/// Cold oracle: a fresh engine (fresh Γ) per snapshot.
 fn run_cold(trace: &[PicSnapshot], mode: GammaMode) -> Vec<Partition> {
     trace
         .iter()
@@ -89,8 +89,8 @@ fn run_cold(trace: &[PicSnapshot], mode: GammaMode) -> Vec<Partition> {
         .collect()
 }
 
-/// Warm path: one resident engine, row deltas patched in, re-solves
-/// warm-started from the previous incumbent.
+/// Warm path: one resident engine, row deltas patched in, each
+/// snapshot re-solved on the patched Γ.
 fn run_warm(
     trace: &[PicSnapshot],
     deltas: &[Vec<RowUpdate>],
@@ -120,10 +120,6 @@ const KEYS: &[(&str, &str)] = &[
     ("engine_queries", "engine.queries"),
     ("engine_warm_hits", "engine.warm_hits"),
     ("delta_rows_patched", "engine.delta_rows_patched"),
-    (
-        "warm_start_probes_skipped",
-        "engine.warm_start_probes_skipped",
-    ),
 ];
 
 /// Runs `f` once under a single-thread budget against a freshly reset
@@ -180,6 +176,18 @@ fn serve_series(label: &str, mode: GammaMode, cfg: &PicConfig, instrumented: boo
         let get = |counters: &[u64], label: &str| {
             counters[KEYS.iter().position(|&(l, _)| l == label).unwrap()]
         };
+        for solve in [
+            "jag_m_feasibility_checks",
+            "jag_m_lazy_evals",
+            "nicol_calls",
+            "probe_calls",
+        ] {
+            assert_eq!(
+                get(&warm_counters, solve),
+                get(&cold_counters, solve),
+                "{label}: {solve} must match: both paths solve on the same Γ"
+            );
+        }
         assert!(
             get(&warm_counters, "gamma_builds") < get(&cold_counters, "gamma_builds"),
             "{label}: warm path must build strictly fewer Γ tables"

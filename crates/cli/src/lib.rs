@@ -311,8 +311,19 @@ pub fn gamma_mode() -> GammaMode {
 /// as the process-wide Γ backend policy, and returns the remaining
 /// arguments for [`parse`]. Valid in any position with every
 /// subcommand; if given more than once the last occurrence wins.
+/// Without the flag, a set `RECTPART_GAMMA` that does not parse is a
+/// usage error, so a typo cannot silently select the default backend.
 pub fn apply_global_gamma(args: &[String]) -> Result<Vec<String>, UsageError> {
     let mut rest = args.to_vec();
+    if !rest.iter().any(|a| a == "--gamma") {
+        if let Some(v) = std::env::var_os("RECTPART_GAMMA") {
+            if v.to_str().and_then(GammaMode::parse).is_none() {
+                return Err(UsageError(format!(
+                    "invalid value for RECTPART_GAMMA: {v:?} (dense|sparse|auto)"
+                )));
+            }
+        }
+    }
     while let Some(i) = rest.iter().position(|a| a == "--gamma") {
         let Some(v) = rest.get(i + 1) else {
             return Err(UsageError(
@@ -444,10 +455,6 @@ fn engine_stats_json(s: &EngineStats) -> rectpart_json::Json {
         ("queries", Json::UInt(s.queries)),
         ("warm_hits", Json::UInt(s.warm_hits)),
         ("delta_rows_patched", Json::UInt(s.delta_rows_patched)),
-        (
-            "warm_start_probes_skipped",
-            Json::UInt(s.warm_start_probes_skipped),
-        ),
     ])
 }
 
@@ -1035,8 +1042,8 @@ pub fn run(cmd: Command) -> Result<String, CliError> {
             }
             let s = engine.stats();
             text.push_str(&format!(
-                "\nengine: {} queries, {} warm hits, {} delta rows, {} probes skipped",
-                s.queries, s.warm_hits, s.delta_rows_patched, s.warm_start_probes_skipped
+                "\nengine: {} queries, {} warm hits, {} delta rows",
+                s.queries, s.warm_hits, s.delta_rows_patched
             ));
             if let Some(path) = out {
                 let json = Json::obj(vec![("results", Json::Arr(results))]);
@@ -1078,7 +1085,8 @@ GLOBAL OPTIONS:
                  (default: auto-detect; 1 = fully serial; results are
                  identical at any thread count)
   --gamma MODE   prefix-sum (Γ) backend: dense, sparse, or auto
-                 (default: the RECTPART_GAMMA env var, else auto).
+                 (default: the RECTPART_GAMMA env var, else auto; an
+                 invalid RECTPART_GAMMA is a usage error).
                  auto picks the CSR-like sparse backend when at least
                  75% of the load matrix is zero; every backend returns
                  bit-identical answers, so this only affects memory
@@ -1125,8 +1133,8 @@ SERVE MODE:
   a resident engine warm across the whole request batch: repeated
   queries are answered from a solution cache, matrix deltas patch Γ
   row-incrementally instead of rebuilding it, and re-solves after a
-  delta are warm-started from the previous cuts — every answer is
-  bit-identical to a cold solve on the then-current matrix. The batch
+  delta run on the patched Γ — every answer is bit-identical to a
+  cold solve on the then-current matrix. The batch
   file is a JSON object {\"queries\": [...]} whose entries are either
     {\"op\": \"solve\", \"algo\": NAME, \"m\": N}
       with optional \"region\": [r0, r1, c0, c1] (half-open bounds),
@@ -1366,12 +1374,7 @@ mod tests {
         // Batch commands pin the resident-engine block at zero: the
         // schema is stable across modes, only `serve` accumulates.
         let engine = json.get("engine").expect("engine block present");
-        for key in [
-            "queries",
-            "warm_hits",
-            "delta_rows_patched",
-            "warm_start_probes_skipped",
-        ] {
+        for key in ["queries", "warm_hits", "delta_rows_patched"] {
             assert_eq!(
                 engine.get(key).and_then(|j| j.as_u64()),
                 Some(0),

@@ -7,6 +7,8 @@
 //!   threshold, observed through the stats JSON `gamma_backend` field;
 //! * the stats JSON environment fields (`gamma_mode`, `gamma_backend`,
 //!   `host_cores`);
+//! * a mistyped `RECTPART_GAMMA` without `--gamma` exits 2, like a
+//!   mistyped `--gamma`;
 //! * `--trace-out`: the emitted Chrome trace-event JSON parses with
 //!   `rectpart-json` and round-trips through it bit-identically, and the
 //!   `.folded` variant emits collapsed stacks.
@@ -183,4 +185,32 @@ fn trace_out_folded_emits_collapsed_stacks() {
 fn trace_out_requires_a_file_value() {
     let out = rectpart(&["partition", "--input", "a.csv", "-m", "2", "--trace-out"]);
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn mistyped_gamma_environment_is_a_usage_error() {
+    let input = tmp("env-gamma.csv");
+    std::fs::write(&input, "1,0\n0,2\n").unwrap();
+    let run = |env: &str, extra: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_rectpart"))
+            .args(["partition", "--input", input.to_str().unwrap(), "-m", "2"])
+            .args(extra)
+            .env("RECTPART_GAMMA", env)
+            .output()
+            .expect("spawn rectpart binary")
+    };
+    // Without `--gamma`, an unparsable value stops the run before any work,
+    // just as `--gamma spares` does.
+    let out = run("spares", &[]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("\"spares\""),
+        "the error must name the value: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(run("", &[]).status.code(), Some(2));
+    // A valid value (any case) and an explicit flag both still run.
+    assert_eq!(run("Sparse", &[]).status.code(), Some(0));
+    assert_eq!(run("spares", &["--gamma", "dense"]).status.code(), Some(0));
+    std::fs::remove_file(&input).ok();
 }

@@ -21,7 +21,7 @@
 //!
 //! # Sharding key scheme
 //!
-//! A key is routed to one of [`ShardedMemo::shard_count`] (= 16) shards
+//! A key is routed to one of `SHARDS` (= 16) shards
 //! by hashing its `Hash` impl with a **fixed-seed FNV-1a** 64-bit hasher,
 //! Fibonacci-multiplying the result (`h · 2⁶⁴/φ`) to spread entropy into
 //! the high bits, and taking the top bits modulo the shard count:
@@ -31,9 +31,8 @@
 //! ```
 //!
 //! The hasher is deliberately *not* `RandomState`: a fixed seed makes the
-//! shard assignment — and therefore per-shard occupancy statistics
-//! reported by [`ShardedMemo::shard_lens`] and the `obs` layer —
-//! reproducible across runs and thread counts. Keys are not attacker
+//! shard assignment — and therefore the per-shard insert tallies the
+//! `obs` layer reports — reproducible across runs and thread counts. Keys are not attacker
 //! controlled, so HashDoS hardening buys nothing here.
 //!
 //! # Instrumentation
@@ -93,9 +92,9 @@ impl Hasher for Fnv1a {
 /// A concurrent memo table sharded across `SHARDS` mutex-protected
 /// hash maps.
 ///
-/// Lookups lock exactly one shard; the compute callback of
-/// [`get_or_insert_with`](ShardedMemo::get_or_insert_with) runs *outside*
-/// any lock so long-running solves never serialize unrelated queries.
+/// Lookups lock exactly one shard; callers compute a missing value
+/// *outside* any lock (see [`StripeCache::bottleneck`]) so long-running
+/// solves never serialize unrelated queries.
 /// This is only sound for *deterministic* values: two threads may race on
 /// the same key and both compute it, and the table keeps whichever lands
 /// last. All users in this crate memoize pure functions of the key.
@@ -139,11 +138,6 @@ impl<K: Eq + Hash, V: Clone> ShardedMemo<K, V> {
         Self::lock(self.shard(key)).get(key).cloned()
     }
 
-    /// Inserts `value` for `key`, replacing any previous entry.
-    pub fn insert(&self, key: K, value: V) {
-        Self::lock(self.shard(&key)).insert(key, value);
-    }
-
     /// Inserts `value` only if `key` is absent; returns `true` when this
     /// call performed the first insert. Exactly one of several racing
     /// inserters of the same key observes `true`, which is what makes
@@ -159,40 +153,10 @@ impl<K: Eq + Hash, V: Clone> ShardedMemo<K, V> {
         }
     }
 
-    /// Returns the cached value for `key`, computing and caching it with
-    /// `compute` on a miss. `compute` runs without holding any lock; on a
-    /// race the value computed first is kept (all callers must compute
-    /// the same value for the same key, so which write lands is
-    /// unobservable).
-    pub fn get_or_insert_with(&self, key: K, compute: impl FnOnce() -> V) -> V {
-        if let Some(v) = self.get(&key) {
-            return v;
-        }
-        let v = compute();
-        self.insert_if_absent(key, v.clone());
-        v
-    }
-
     /// Total number of cached entries across all shards.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.shards.iter().map(|s| Self::lock(s).len()).sum()
-    }
-
-    /// `true` if no entry is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Number of shards (the capacity of the lock partition, not of the
-    /// maps themselves — each shard grows unbounded).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Entry count of every shard, in shard order. Deterministic across
-    /// runs thanks to the fixed-seed sharding scheme.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| Self::lock(s).len()).collect()
     }
 }
 
@@ -267,48 +231,15 @@ impl StripeCache {
     }
 
     /// Number of distinct stripe solutions cached so far.
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.memo.len()
-    }
-
-    /// `true` if no stripe solution is cached.
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    /// Number of lock shards backing the cache.
-    pub fn shard_count(&self) -> usize {
-        self.memo.shard_count()
-    }
-
-    /// Entry count of every shard, in shard order (deterministic; see
-    /// the module docs).
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.memo.shard_lens()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    #[test]
-    fn get_or_insert_computes_once_per_key() {
-        let memo: ShardedMemo<(usize, usize), u64> = ShardedMemo::new();
-        let calls = AtomicUsize::new(0);
-        for _ in 0..3 {
-            let v = memo.get_or_insert_with((2, 5), || {
-                calls.fetch_add(1, Ordering::Relaxed);
-                42
-            });
-            assert_eq!(v, 42);
-        }
-        assert_eq!(calls.load(Ordering::Relaxed), 1);
-        assert_eq!(memo.len(), 1);
-        assert_eq!(memo.get(&(2, 5)), Some(42));
-        assert_eq!(memo.get(&(5, 2)), None);
-    }
 
     #[test]
     fn stripe_cache_distinguishes_axes() {
@@ -330,32 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn shard_accessors_and_deterministic_routing() {
-        let memo: ShardedMemo<u64, u64> = ShardedMemo::new();
-        assert_eq!(memo.shard_count(), 16);
-        for k in 0..100u64 {
-            memo.insert(k, k);
-        }
-        let lens = memo.shard_lens();
-        assert_eq!(lens.len(), memo.shard_count());
-        assert_eq!(lens.iter().sum::<usize>(), memo.len());
+    fn shard_routing_is_deterministic() {
         // Routing is a pure function of the key: a fresh map with a
         // fresh hasher routes identically.
+        let memo: ShardedMemo<u64, u64> = ShardedMemo::new();
         let fresh: ShardedMemo<u64, u64> = ShardedMemo::new();
         for k in 0..100u64 {
-            assert!(memo.shard_index(&k) < memo.shard_count());
+            assert!(memo.shard_index(&k) < SHARDS);
             assert_eq!(memo.shard_index(&k), fresh.shard_index(&k));
         }
-    }
-
-    #[test]
-    fn stripe_cache_exposes_shard_occupancy() {
-        let cache = StripeCache::new();
-        for lo in 0..10 {
-            cache.bottleneck(Axis::Rows, lo, lo + 1, 2, || lo as u64);
-        }
-        assert_eq!(cache.shard_count(), 16);
-        assert_eq!(cache.shard_lens().iter().sum::<usize>(), cache.len());
     }
 
     #[test]

@@ -9,8 +9,6 @@
 //! stripe loads, which Theorem 3 shows improves the worst case and §4
 //! shows dominates in practice.
 
-use std::convert::Infallible;
-
 use rectpart_onedim::{nicol, Cuts, FnCost, SolveScratch};
 
 use crate::cancel::Checker;
@@ -44,39 +42,18 @@ impl JaggedVariant {
         }
     }
 
-    /// Runs `f` for the orientation(s) selected and returns the partition
-    /// with the lowest bottleneck.
-    pub(crate) fn run(
-        self,
-        pfx: &PrefixSum2D,
-        f: impl Fn(View<'_>) -> Partition + Sync,
-    ) -> Partition {
-        match self.pick(pfx, |view| Ok::<_, Infallible>(f(view)), |p| p.lmax(pfx)) {
-            Ok(p) => p,
-            Err(never) => match never {},
-        }
-    }
-
-    /// Fallible twin of [`run`](JaggedVariant::run) for the
-    /// cancellation-aware solve paths. Under `-BEST` both orientations
-    /// still run (on separate tasks); if either observes the cancellation
-    /// deadline the whole solve reports `Cancelled` — partial work is
-    /// discarded wholesale, so the nondeterministic interleaving of the
-    /// two tasks never leaks into a completed result.
-    pub(crate) fn try_run(
-        self,
-        pfx: &PrefixSum2D,
-        f: impl Fn(View<'_>) -> Result<Partition, RectpartError> + Sync,
-    ) -> Result<Partition, RectpartError> {
-        self.pick(pfx, f, |p| p.lmax(pfx))
-    }
-
     /// Runs `f` for the orientation(s) selected; under `-BEST` keeps the
-    /// answer with the lower `lmax` (the first on a tie). The heuristics
-    /// score their answers with the bottleneck their stripe solves
-    /// already returned, where [`Partition::lmax`] would query Γ once
-    /// per rectangle (on sparse Γ, a scan of its rows).
-    fn pick<T: Send, E: Send>(
+    /// answer with the lower `lmax` (the first on a tie). Every jagged
+    /// family scores its answers with the bottleneck its solve already
+    /// holds, where [`Partition::lmax`] would query Γ once per rectangle
+    /// (on sparse Γ, a scan of its rows).
+    ///
+    /// Both orientations of `-BEST` run on separate tasks; if either
+    /// observes the cancellation deadline the whole solve reports
+    /// `Cancelled` — partial work is discarded wholesale, so the
+    /// nondeterministic interleaving of the two tasks never leaks into a
+    /// completed result.
+    pub(crate) fn pick<T: Send, E: Send>(
         self,
         pfx: &PrefixSum2D,
         f: impl Fn(View<'_>) -> Result<T, E> + Sync,
@@ -172,7 +149,7 @@ fn pq_heur_view(
 /// Discharges the unreachable `Err` arm of the infallible entry points:
 /// with [`Checker::OFF`] the checked cores can never cancel, but the
 /// fallback must still be a valid partition rather than a panic.
-fn one_part_partition(pfx: &PrefixSum2D, m: usize) -> Partition {
+pub(crate) fn one_part_partition(pfx: &PrefixSum2D, m: usize) -> Partition {
     Partition::with_parts(vec![Rect::new(0, pfx.rows(), 0, pfx.cols())], m)
 }
 
@@ -271,16 +248,11 @@ impl Partitioner for JagMHeur {
     }
 }
 
-/// The `JAG-M-HEUR` core on a fixed orientation, returning the raw
-/// rectangles; also used by `JAG-M-OPT` to seed its upper bound.
-pub(crate) fn jag_m_heur_view(view: &View<'_>, m: usize, p: usize) -> Vec<Rect> {
-    try_jag_m_heur_view(view, m, p, Checker::OFF)
-        .unwrap_or_else(|_| vec![view.rect(0, view.n_main(), 0, view.n_aux())])
-}
-
-/// Cancellation-aware `JAG-M-HEUR` core: the main-dimension cut and the
-/// inter-phase boundary poll the deadline; the per-stripe solves are
-/// uninterruptible parallel quanta.
+/// Cancellation-aware `JAG-M-HEUR` core on a fixed orientation,
+/// returning the raw rectangles; also used by `JAG-M-OPT` to seed its
+/// upper bound. The main-dimension cut and the inter-phase boundary poll
+/// the deadline; the per-stripe solves are uninterruptible parallel
+/// quanta.
 pub(crate) fn try_jag_m_heur_view(
     view: &View<'_>,
     m: usize,

@@ -21,16 +21,15 @@
 
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::convert::Infallible;
 
-use rectpart_onedim::{
-    nicol, nicol_bottleneck, nicol_in_seeded, FnCost, IntervalCost, SolveScratch,
-};
+use rectpart_onedim::{nicol, nicol_bottleneck, FnCost, IntervalCost, SolveScratch};
 
 use crate::cache::StripeCache;
 use crate::cancel::Checker;
 use crate::error::RectpartError;
-use crate::geometry::{Axis, Rect};
-use crate::jagged::{jag_m_heur_view, try_jag_m_heur_view, JaggedVariant};
+use crate::geometry::Rect;
+use crate::jagged::{one_part_partition, try_jag_m_heur_view, JaggedVariant};
 use crate::prefix::{PrefixSum2D, View};
 use crate::solution::Partition;
 use crate::traits::{grid_dims, isqrt, Partitioner};
@@ -59,53 +58,19 @@ impl Partitioner for JagPqOpt {
         // concurrently against it (entries are axis-keyed) and every
         // stripe solution survives across all of Nicol's probes.
         let cache = StripeCache::new();
-        self.variant.run(pfx, |view| {
-            let rects = jag_pq_opt_view(&view, p, q, &cache);
-            Partition::with_parts(rects, m)
-        })
+        let Ok((rects, _)) = self.variant.pick(
+            pfx,
+            |view| Ok::<_, Infallible>(jag_pq_opt_view(&view, p, q, &cache)),
+            |s| s.1,
+        );
+        Partition::with_parts(rects, m)
     }
 }
 
-impl JagPqOpt {
-    /// Resident-engine entry: **bit-identical** to
-    /// [`partition`](Partitioner::partition), but the stripe memo is
-    /// caller-owned — a long-lived engine keeps it warm across queries
-    /// on an unchanged matrix — and the previous solve's partition can
-    /// seed the main-dimension Nicol incumbent
-    /// ([`nicol_in_seeded`]'s contract: the seed derived from `prior`
-    /// is the bottleneck of an achievable tiling, so the optimum is
-    /// unchanged and only search steps are saved).
-    pub fn partition_warm(
-        &self,
-        pfx: &PrefixSum2D,
-        m: usize,
-        cache: &StripeCache,
-        prior: Option<&Partition>,
-    ) -> Partition {
-        assert!(m >= 1);
-        let (p, q) = self.grid.unwrap_or_else(|| grid_dims(m));
-        assert!(p * q <= m, "grid {p}x{q} exceeds {m} processors");
-        self.variant.run(pfx, |view| {
-            let rects = jag_pq_opt_view_warm(&view, p, q, cache, prior);
-            Partition::with_parts(rects, m)
-        })
-    }
-}
-
-/// One-orientation `JAG-PQ-OPT` returning raw rectangles.
-fn jag_pq_opt_view(view: &View<'_>, p: usize, q: usize, cache: &StripeCache) -> Vec<Rect> {
-    jag_pq_opt_view_warm(view, p, q, cache, None)
-}
-
-/// [`jag_pq_opt_view`] with optional warm-start from a previous
-/// partition of the same instance family.
-fn jag_pq_opt_view_warm(
-    view: &View<'_>,
-    p: usize,
-    q: usize,
-    cache: &StripeCache,
-    prior: Option<&Partition>,
-) -> Vec<Rect> {
+/// One-orientation `JAG-PQ-OPT`: the rectangles and their `Lmax`. The
+/// `Lmax` is the main-dimension Nicol bottleneck, which is the largest
+/// of the per-stripe optima the reconstruction below re-solves.
+fn jag_pq_opt_view(view: &View<'_>, p: usize, q: usize, cache: &StripeCache) -> (Vec<Rect>, u64) {
     let n_main = view.n_main();
     let n_aux = view.n_aux();
     let axis = view.axis();
@@ -128,19 +93,12 @@ fn jag_pq_opt_view_warm(
             nicol_bottleneck(&aux, q, &mut scratch)
         })
     });
-    // Warm-start: the previous solve's main-dimension cut set, re-priced
-    // under the current stripe costs, is an achievable bottleneck — a
-    // valid Nicol incumbent that cannot change the optimum.
-    let seed = prior.and_then(|prev| warm_main_seed(view, prev, p, &stripe_cost));
-    let main = match seed {
-        Some(s) => nicol_in_seeded(&stripe_cost, p, &mut SolveScratch::new(), s).cuts,
-        None => nicol(&stripe_cost, p).cuts,
-    };
+    let main = nicol(&stripe_cost, p);
     // The chosen stripes are independent 1D problems: fan out, keeping
     // the in-order collect so the rectangle order matches the serial
     // loop exactly.
-    let stripes: Vec<(usize, usize)> = main.intervals().filter(|(a, b)| a < b).collect();
-    rectpart_parallel::flat_map_slice(&stripes, |&(s0, s1)| {
+    let stripes: Vec<(usize, usize)> = main.cuts.intervals().filter(|(a, b)| a < b).collect();
+    let rects = rectpart_parallel::flat_map_slice(&stripes, |&(s0, s1)| {
         let aux = FnCost::additive(n_aux, |c, d| view.load(s0, s1, c, d));
         nicol(&aux, q)
             .cuts
@@ -148,42 +106,8 @@ fn jag_pq_opt_view_warm(
             .filter(|(a0, a1)| a0 < a1)
             .map(|(a0, a1)| view.rect(s0, s1, a0, a1))
             .collect::<Vec<_>>()
-    })
-}
-
-/// Derives a main-dimension Nicol seed from a previous partition: the
-/// distinct stripe starts of `prior` in this orientation, re-priced
-/// under the current `stripe_cost`. Sound for *any* prior tiling: if the
-/// derived boundary set has ≤ `p` intervals, keeping those main cuts and
-/// optimally splitting each stripe `q`-way is an achievable `p×q`
-/// solution, so its bottleneck (the max re-priced stripe cost) is a
-/// feasible incumbent. Priors that do not project onto ≤ `p` stripes
-/// (e.g. the other orientation of a `-BEST` pair) yield `None`.
-fn warm_main_seed<C: IntervalCost>(
-    view: &View<'_>,
-    prior: &Partition,
-    p: usize,
-    stripe_cost: &C,
-) -> Option<u64> {
-    let n = view.n_main();
-    let mut bounds: Vec<usize> = prior
-        .rects()
-        .iter()
-        .map(|r| match view.axis() {
-            Axis::Rows => r.r0,
-            Axis::Cols => r.c0,
-        })
-        .collect();
-    bounds.push(n);
-    bounds.sort_unstable();
-    bounds.dedup();
-    if bounds.first() != Some(&0) || bounds.last() != Some(&n) || bounds.len() - 1 > p {
-        return None;
-    }
-    bounds
-        .windows(2)
-        .map(|w| stripe_cost.cost(w[0], w[1]))
-        .max()
+    });
+    (rects, main.bottleneck)
 }
 
 /// `JAG-M-OPT` — optimal m-way jagged partition (the paper's new class,
@@ -203,68 +127,45 @@ impl Partitioner for JagMOpt {
 
     fn partition(&self, pfx: &PrefixSum2D, m: usize) -> Partition {
         assert!(m >= 1);
-        self.variant.run(pfx, |view| {
-            let rects = jag_m_opt_view(&view, m);
-            Partition::with_parts(rects, m)
-        })
+        self.variant
+            .pick(
+                pfx,
+                |view| try_jag_m_opt_view(&view, m, Checker::OFF),
+                |s| s.1,
+            )
+            .map_or_else(
+                |_| one_part_partition(pfx, m),
+                |(rects, _)| Partition::with_parts(rects, m),
+            )
     }
 
     fn try_partition(&self, pfx: &PrefixSum2D, m: usize) -> Result<Partition, RectpartError> {
-        Ok(self.try_partition_seeded(pfx, m, None)?.0)
-    }
-}
-
-impl JagMOpt {
-    /// Warm-started twin of [`Partitioner::try_partition`]: `hint` is a
-    /// *claimed* achievable bottleneck — typically the previous solve's
-    /// partition re-priced on the patched Γ. Exactness never depends on
-    /// the hint: one verification probe either tightens `ub` (hint
-    /// feasible in this orientation) or raises `lb` (infeasible, so the
-    /// optimum is above it), and the bisection converges to the same
-    /// minimal feasible bottleneck as a cold solve — the result is
-    /// **bit-identical**; only the probe count shrinks. Returns the
-    /// partition and the net probes skipped (also charged to
-    /// [`WarmStartProbesSkipped`](rectpart_obs::Counter::WarmStartProbesSkipped)).
-    pub fn try_partition_seeded(
-        &self,
-        pfx: &PrefixSum2D,
-        m: usize,
-        hint: Option<u64>,
-    ) -> Result<(Partition, u64), RectpartError> {
         if m == 0 {
             return Err(RectpartError::ZeroParts);
         }
+        // `-BEST` keeps the orientation whose search ended at the lower
+        // bottleneck.
         let check = Checker::active();
-        let skipped = std::sync::atomic::AtomicU64::new(0);
-        let part = self.variant.try_run(pfx, |view| {
-            let (rects, s) = try_jag_m_opt_view(&view, m, check, hint)?;
-            skipped.fetch_add(s, std::sync::atomic::Ordering::Relaxed);
-            Ok(Partition::with_parts(rects, m))
-        })?;
-        Ok((part, skipped.load(std::sync::atomic::Ordering::Relaxed)))
+        self.variant
+            .pick(pfx, |view| try_jag_m_opt_view(&view, m, check), |s| s.1)
+            .map(|(rects, _)| Partition::with_parts(rects, m))
     }
 }
 
-/// One-orientation exact m-way jagged optimum via parametric search.
-fn jag_m_opt_view(view: &View<'_>, m: usize) -> Vec<Rect> {
-    try_jag_m_opt_view(view, m, Checker::OFF, None)
-        .map(|(rects, _)| rects)
-        .unwrap_or_else(|_| jag_m_heur_view(view, m, isqrt(m).max(1).min(m)))
-}
-
-/// Cancellation-aware parametric search: the deadline is polled once per
+/// One-orientation exact m-way jagged optimum via parametric search:
+/// the rectangles and their `Lmax`. The deadline is polled once per
 /// parametric probe (each probe is one serial feasibility DP, the
-/// algorithm's natural work quantum). An optional warm-start `hint` (a
-/// claimed achievable bottleneck) is spent on one verification probe
-/// that tightens whichever bound it can — the bisection then converges
-/// to the same optimum from a narrower range. Returns the rectangles and
-/// the net probes skipped by the hint (bit-length shrink of the range,
-/// minus the verification probe).
+/// algorithm's natural work quantum).
+///
+/// The `Lmax` returned is the `ub` the search ends at. That is the
+/// reconstructed partition's `Lmax`: `ub` is the least feasible
+/// bottleneck, so no rectangle exceeds it and a partition whose largest
+/// load were below it would make a smaller bottleneck feasible. On the
+/// heuristic fallback it is the heuristic's `Lmax`.
 fn try_jag_m_opt_view(
     view: &View<'_>,
     m: usize,
     check: Checker,
-    hint: Option<u64>,
 ) -> Result<(Vec<Rect>, u64), RectpartError> {
     let n = view.n_main();
     let n_aux = view.n_aux();
@@ -275,11 +176,12 @@ fn try_jag_m_opt_view(
     let mut lb = pfx.lower_bound(m);
     // Incumbent: JAG-M-HEUR on the same orientation.
     let heur = try_jag_m_heur_view(view, m, isqrt(m).max(1).min(m), check)?;
-    let mut ub = heur
+    let heur_lmax = heur
         .iter()
         .map(|r| pfx.load(r))
         .max()
         .unwrap_or(pfx.total());
+    let mut ub = heur_lmax;
     if ub < lb {
         // Cannot happen for correct bounds; defensive.
         lb = ub;
@@ -289,28 +191,6 @@ fn try_jag_m_opt_view(
     // the inner loop never touches the allocator.
     let mut scratch = SolveScratch::new();
     let mut probe_idx = 0u64;
-    let mut skipped = 0u64;
-    if let Some(h) = hint {
-        if h >= lb && h < ub {
-            check.check()?;
-            let before = u64::BITS - (ub - lb).leading_zeros();
-            rectpart_obs::trace_point(
-                rectpart_obs::TraceId::JagMOptBudget,
-                view.axis() as u64,
-                probe_idx,
-                h,
-            );
-            probe_idx += 1;
-            if feasible(view, m, h, &mut scratch) {
-                ub = h;
-            } else {
-                lb = h + 1;
-            }
-            let after = u64::BITS - (ub - lb).leading_zeros();
-            skipped = (before.saturating_sub(after).saturating_sub(1)) as u64;
-            rectpart_obs::add(rectpart_obs::Counter::WarmStartProbesSkipped, skipped);
-        }
-    }
     while lb < ub {
         check.check()?;
         // lint:allow(checked-arith) -- lb <= ub in the loop, so
@@ -331,11 +211,11 @@ fn try_jag_m_opt_view(
     }
     check.check()?;
     if feasible(view, m, ub, &mut scratch) {
-        Ok((reconstruct(view, ub, scratch.jag_choice()), skipped))
+        Ok((reconstruct(view, ub, scratch.jag_choice()), ub))
     } else {
         // The incumbent's own bottleneck is always feasible; if the DP
         // cannot see it (it can), fall back to the heuristic rectangles.
-        Ok((heur, skipped))
+        Ok((heur, heur_lmax))
     }
 }
 
@@ -583,7 +463,7 @@ mod tests {
                 for axis in [Axis::Rows, Axis::Cols] {
                     let dp = jag_m_opt_dp(&pfx, axis, m);
                     let view = pfx.view(axis);
-                    let rects = jag_m_opt_view(&view, m);
+                    let (rects, _) = try_jag_m_opt_view(&view, m, Checker::OFF).unwrap();
                     let par = rects.iter().map(|r| pfx.load(r)).max().unwrap_or(0);
                     assert_eq!(par, dp, "seed={seed} m={m} axis={axis:?}");
                 }
@@ -630,94 +510,52 @@ mod tests {
     fn stripe_cache_is_shared_across_best_orientations() {
         let pfx = random_pfx(10, 12, 2, false);
         let cache = StripeCache::new();
-        let _ = jag_pq_opt_view(&pfx.view(Axis::Rows), 2, 2, &cache);
+        jag_pq_opt_view(&pfx.view(Axis::Rows), 2, 2, &cache);
         let rows_entries = cache.len();
         assert!(rows_entries > 0);
-        let _ = jag_pq_opt_view(&pfx.view(Axis::Cols), 2, 2, &cache);
+        jag_pq_opt_view(&pfx.view(Axis::Cols), 2, 2, &cache);
         assert!(
             cache.len() > rows_entries,
             "Cols run must add axis-keyed entries"
         );
         // A repeated orientation is answered from the cache alone.
         let before = cache.len();
-        let _ = jag_pq_opt_view(&pfx.view(Axis::Rows), 2, 2, &cache);
+        jag_pq_opt_view(&pfx.view(Axis::Rows), 2, 2, &cache);
         assert_eq!(cache.len(), before);
     }
 
     #[test]
-    fn seeded_m_opt_is_bit_identical_for_any_hint() {
-        for seed in 0..4 {
-            let pfx = random_pfx(12, 10, seed, seed % 2 == 0);
-            for m in [3, 6, 9] {
-                let algo = JagMOpt::default();
-                let cold = algo.try_partition(&pfx, m).unwrap();
-                let cold_lmax = cold.lmax(&pfx);
-                // Hints spanning the spectrum: the optimum itself, a stale
-                // partition's (achievable) bottleneck, an absurdly tight
-                // claim (infeasible — must only raise lb), and a useless
-                // loose one (ignored).
-                let stale = JagMHeur::best().partition(&pfx, m).lmax(&pfx);
-                for hint in [cold_lmax, stale, pfx.lower_bound(m), u64::MAX] {
-                    let (warm, _) = algo.try_partition_seeded(&pfx, m, Some(hint)).unwrap();
-                    assert_eq!(warm.rects(), cold.rects(), "seed={seed} m={m} hint={hint}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_m_opt_skips_probes_with_a_tight_hint() {
-        // Skewed instances keep the heuristic incumbent well above the
-        // optimum, so an optimal hint must collapse a multi-bit search
-        // range on at least some of them.
-        let mut total_skipped = 0u64;
-        let algo = JagMOpt {
-            variant: JaggedVariant::Hor,
-        };
-        for seed in 0..6 {
-            let mut rng = StdRng::seed_from_u64(100 + seed);
-            let pfx = PrefixSum2D::try_new(&LoadMatrix::from_fn(20, 20, |r, c| {
-                // A hot diagonal band over a cold background.
-                if r.abs_diff(c) <= 1 {
-                    rng.gen_range(500..2000)
+    fn orientation_scores_equal_partition_lmax() {
+        // `-BEST` compares these scores, so each must be its answer's
+        // Lmax: on zero rows, an all-zero matrix, m = 1 and m above the
+        // cell count too.
+        let mut instances =
+            vec![PrefixSum2D::try_new(&LoadMatrix::from_fn(4, 5, |_, _| 0)).unwrap()];
+        for seed in 0..8 {
+            let mut rng = StdRng::seed_from_u64(200 + seed);
+            let (rows, cols) = (rng.gen_range(1..10), rng.gen_range(1..10));
+            let zero_row = rng.gen_range(0..rows);
+            let mat = LoadMatrix::from_fn(rows, cols, |r, _| {
+                if r == zero_row || rng.gen_bool(0.2) {
+                    0
                 } else {
-                    rng.gen_range(0..5)
+                    rng.gen_range(1..50)
                 }
-            }))
-            .unwrap();
-            for m in [5, 9, 13] {
-                let cold = algo.try_partition(&pfx, m).unwrap();
-                let (warm, skipped) = algo
-                    .try_partition_seeded(&pfx, m, Some(cold.lmax(&pfx)))
-                    .unwrap();
-                assert_eq!(warm.rects(), cold.rects(), "seed={seed} m={m}");
-                total_skipped += skipped;
-            }
+            });
+            instances.push(PrefixSum2D::try_new(&mat).unwrap());
         }
-        assert!(
-            total_skipped > 0,
-            "optimal hints must skip probes somewhere across the sweep"
-        );
-    }
-
-    #[test]
-    fn warm_pq_opt_matches_cold_with_and_without_prior() {
-        for seed in 0..4 {
-            let pfx = random_pfx(14, 11, seed, seed % 2 == 1);
-            for m in [4, 6, 9] {
-                let algo = JagPqOpt::default();
-                let cold = algo.partition(&pfx, m);
-                let cache = StripeCache::new();
-                let no_prior = algo.partition_warm(&pfx, m, &cache, None);
-                assert_eq!(no_prior.rects(), cold.rects(), "seed={seed} m={m}");
-                // Prior = the cold solution itself (the repeat-query case),
-                // served against the already-warm cache.
-                let with_prior = algo.partition_warm(&pfx, m, &cache, Some(&cold));
-                assert_eq!(with_prior.rects(), cold.rects(), "seed={seed} m={m}");
-                // A prior from a different algorithm must also be safe.
-                let foreign = JagMHeur::best().partition(&pfx, m);
-                let with_foreign = algo.partition_warm(&pfx, m, &cache, Some(&foreign));
-                assert_eq!(with_foreign.rects(), cold.rects(), "seed={seed} m={m}");
+        for (i, pfx) in instances.iter().enumerate() {
+            for m in [1, 2, 4, 9, pfx.rows() * pfx.cols() + 3] {
+                let (p, q) = grid_dims(m);
+                for axis in [Axis::Rows, Axis::Cols] {
+                    let view = pfx.view(axis);
+                    let (rects, score) = try_jag_m_opt_view(&view, m, Checker::OFF).unwrap();
+                    let lmax = Partition::with_parts(rects, m).lmax(pfx);
+                    assert_eq!(score, lmax, "JAG-M-OPT instance={i} m={m} {axis:?}");
+                    let (rects, score) = jag_pq_opt_view(&view, p, q, &StripeCache::new());
+                    let lmax = Partition::with_parts(rects, m).lmax(pfx);
+                    assert_eq!(score, lmax, "JAG-PQ-OPT instance={i} m={m} {axis:?}");
+                }
             }
         }
     }

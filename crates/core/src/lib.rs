@@ -34,7 +34,7 @@
 //! ```
 
 pub mod bounds;
-pub mod cache;
+mod cache;
 mod cancel;
 mod error;
 mod exhaustive;
@@ -57,7 +57,6 @@ mod spiral;
 mod stats;
 mod traits;
 
-pub use cache::{ShardedMemo, StripeCache, StripeKey};
 pub use cancel::Checker;
 pub use error::RectpartError;
 pub use exhaustive::exhaustive_opt;

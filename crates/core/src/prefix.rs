@@ -130,15 +130,15 @@ const TILE_CARRY_GUARD: u64 = u64::MAX - (TILE as u64) * (u32::MAX as u64);
 impl PrefixSum2D {
     /// Builds Γ, surfacing overflow as [`RectpartError::Overflow`]
     /// instead of aborting. Uses the dense backend unless the
-    /// `RECTPART_GAMMA` environment variable overrides the choice; for
-    /// explicit control use [`Self::try_new_with`].
+    /// `RECTPART_GAMMA` environment variable overrides the choice (a set
+    /// value [`GammaMode::parse`] rejects counts as unset; the `rectpart`
+    /// CLI rejects it instead). For explicit control use [`Self::try_new_with`].
     ///
     /// The dense build uses a two-pass parallel scan when more than one
     /// thread is available and the matrix is large enough; exact integer
-    /// addition makes the result bit-identical to the serial pass at any
-    /// thread count, and both paths report overflow under exactly the
-    /// same condition (overflow of any Γ entry — equivalently, the grand
-    /// total reaching 2⁶⁴).
+    /// addition makes it bit-identical to the serial pass at any thread
+    /// count, and both paths report overflow under exactly the same
+    /// condition (any Γ entry, equivalently the grand total, reaching 2⁶⁴).
     pub fn try_new(a: &LoadMatrix) -> Result<Self, RectpartError> {
         Self::try_new_with(a, GammaMode::from_env().unwrap_or(GammaMode::Dense))
     }

@@ -13,18 +13,14 @@
 //! * the load matrix is loaded **once** and Γ is built **once** under
 //!   the configured [`GammaMode`];
 //! * [`Engine::apply_delta`] patches the resident Γ row-incrementally
-//!   (`O(changed_rows × n)` for the column pass instead of a full
-//!   rebuild) with the same bit-identity guarantee as a cold rebuild,
-//!   for both the dense and the sparse backend;
+//!   with [`PrefixSum2D::apply_row_updates`] (`O(changed_rows × n)` for
+//!   the column pass instead of a full rebuild), bit-identical to a cold
+//!   rebuild on both the dense and the sparse backend;
 //! * repeated queries are answered from a solution cache
-//!   ([`Counter::EngineWarmHits`]), and the shared
-//!   [`StripeCache`] stays warm across every `JAG-PQ-OPT` query on an
-//!   unchanged matrix;
-//! * after a delta, re-solves are **warm-started**: the previous
-//!   solution seeds Nicol's bisection incumbent (`JAG-PQ-OPT`) or the
-//!   parametric-search probe (`JAG-M-OPT`,
-//!   [`Counter::WarmStartProbesSkipped`]), saving probes while staying
-//!   bit-identical to a cold solve on the patched matrix;
+//!   ([`Counter::EngineWarmHits`]);
+//! * every other query runs the registry algorithm on the resident Γ,
+//!   so its answer is bit-identical to a cold solve on the patched
+//!   matrix;
 //! * the [`RebalancePolicy`] of `rectpart-simexec`'s dynamic runner
 //!   decides when drift is small enough to keep serving the stale
 //!   partition without any solve at all.
@@ -46,15 +42,15 @@
 //! engine
 //!     .apply_delta(&[RowUpdate { row: 3, cells: vec![9; 32] }])
 //!     .unwrap();
-//! let resolved = engine.solve(&q).unwrap();        // warm-started re-solve
+//! let resolved = engine.solve(&q).unwrap();        // re-solved on the patched Γ
 //! assert!(!resolved.warm_hit);
 //! ```
 
 use std::collections::HashMap;
 
 use rectpart_core::{
-    algorithm_by_name, GammaMode, JagMOpt, JagPqOpt, JaggedVariant, LoadMatrix, Partition,
-    Partitioner, PrefixSum2D, Rect, RectpartError, RowExtrema, RowUpdate, StripeCache,
+    algorithm_by_name, GammaMode, LoadMatrix, Partition, PrefixSum2D, Rect, RectpartError,
+    RowExtrema, RowUpdate,
 };
 use rectpart_obs::Counter;
 use rectpart_robust::SolverDriver;
@@ -78,7 +74,7 @@ pub struct EngineConfig {
     /// Default per-query work budget, in deterministic
     /// `rectpart_obs::work` units. A query's own budget overrides this.
     /// Any budget routes the query through the fault-tolerant
-    /// [`SolverDriver`] instead of the warm direct path.
+    /// [`SolverDriver`] instead of the direct path.
     pub budget: Option<u64>,
 }
 
@@ -102,11 +98,11 @@ pub struct EngineStats {
     /// Queries answered from the solution cache without running any
     /// solver (same-epoch hits plus threshold-policy stale reuse).
     pub warm_hits: u64,
-    /// Distinct matrix rows rewritten by [`Engine::apply_delta`],
-    /// whether the Γ table was patched row-incrementally or rebuilt.
+    /// Distinct matrix rows rewritten by [`Engine::apply_delta`].
     pub delta_rows_patched: u64,
-    /// Bisection probes the `JAG-M-OPT` parametric search skipped
-    /// because a warm-start hint collapsed the search range.
+    /// Always 0: the engine does not warm-start its solves. Kept only
+    /// because e2ebench's `engine.warm_start_probes_skipped_per_step`
+    /// metric reads it.
     pub warm_start_probes_skipped: u64,
 }
 
@@ -177,7 +173,7 @@ pub enum Response {
 }
 
 /// Key of one cached solution. Budget and fallback participate so a
-/// budgeted query never serves (or seeds) an unbudgeted one's answer.
+/// budgeted query never serves an unbudgeted one's answer.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 struct QueryKey {
     algorithm: String,
@@ -188,7 +184,7 @@ struct QueryKey {
 }
 
 /// A cached solution. `partition` is in region-local coordinates for
-/// region queries so it can seed warm re-solves of the same region
+/// region queries, so the drift check prices it on the region's Γ
 /// directly; translation to full-matrix coordinates happens at response
 /// time.
 #[derive(Clone, Debug)]
@@ -198,8 +194,8 @@ struct CacheEntry {
     answered_by: String,
 }
 
-/// A long-lived partitioning engine: resident matrix, resident Γ, warm
-/// stripe memo, and a warm solution cache.
+/// A long-lived partitioning engine: resident matrix, resident Γ and a
+/// solution cache.
 ///
 /// See the [crate docs](crate) for the serving model and the
 /// bit-identity contract.
@@ -208,7 +204,6 @@ pub struct Engine {
     matrix: LoadMatrix,
     pfx: PrefixSum2D,
     extrema: RowExtrema,
-    stripes: StripeCache,
     solutions: HashMap<QueryKey, CacheEntry>,
     epoch: u64,
     config: EngineConfig,
@@ -231,7 +226,6 @@ impl Engine {
             matrix,
             pfx,
             extrema,
-            stripes: StripeCache::new(),
             solutions: HashMap::new(),
             epoch: 0,
             config,
@@ -266,11 +260,6 @@ impl Engine {
         self.epoch
     }
 
-    /// Number of memoized stripe solutions currently warm.
-    pub fn stripe_entries(&self) -> usize {
-        self.stripes.len()
-    }
-
     /// Number of cached solutions (any epoch).
     pub fn cached_solutions(&self) -> usize {
         self.solutions.len()
@@ -285,9 +274,8 @@ impl Engine {
     ///    [`RebalancePolicy::Threshold`] drift check passes;
     /// 3. queries with a budget or a fallback ladder run through the
     ///    fault-tolerant [`SolverDriver`];
-    /// 4. everything else runs the named algorithm directly, warm-started
-    ///    from the stale cached solution when one exists — bit-identical
-    ///    to a cold solve on the current matrix.
+    /// 4. everything else runs the named registry algorithm on the
+    ///    target Γ — bit-identical to a cold solve on the current matrix.
     pub fn solve(&mut self, q: &Query) -> Result<QueryOutcome, RectpartError> {
         rectpart_obs::incr(Counter::EngineQueries);
         self.stats.queries += 1;
@@ -332,13 +320,14 @@ impl Engine {
         // `rectpart_simexec::dynamic_run`. The entry's epoch is left
         // stale on purpose: every later query re-checks drift against
         // the then-current load.
-        let prior = self.solutions.get(&key).map(|e| e.partition.clone());
-        if let (Some(prev), RebalancePolicy::Threshold(t)) = (&prior, self.config.rebalance) {
-            if prev.load_imbalance(pfx) <= t {
+        if let (Some(prev), RebalancePolicy::Threshold(t)) =
+            (self.solutions.get(&key), self.config.rebalance)
+        {
+            if prev.partition.load_imbalance(pfx) <= t {
                 rectpart_obs::incr(Counter::EngineWarmHits);
                 self.stats.warm_hits += 1;
                 return Ok(QueryOutcome {
-                    partition: globalize(q.region, prev),
+                    partition: globalize(q.region, &prev.partition),
                     warm_hit: true,
                     answered_by: name,
                 });
@@ -365,11 +354,10 @@ impl Engine {
             let by = outcome.report.answered_by.unwrap_or_else(|| name.clone());
             (outcome.partition, by)
         } else {
-            // 4. Direct warm path.
-            let (p, skipped) =
-                self.warm_partition(pfx, q.m, &name, prior.as_ref(), q.region.is_none())?;
-            self.stats.warm_start_probes_skipped += skipped;
-            (p, name.clone())
+            // 4. Direct path: the registry algorithm on the target Γ.
+            let algo = algorithm_by_name(&name)
+                .ok_or_else(|| RectpartError::UnknownAlgorithm(name.clone()))?;
+            (algo.try_partition(pfx, q.m)?, name.clone())
         };
 
         let response = globalize(q.region, &partition);
@@ -388,53 +376,25 @@ impl Engine {
         })
     }
 
-    /// Rewrites whole matrix rows and brings Γ up to date, preferring a
-    /// row-incremental patch of the resident prefix sums over a rebuild
-    /// when few rows changed.
+    /// Rewrites whole matrix rows and patches the resident Γ in place
+    /// with [`PrefixSum2D::apply_row_updates`].
     ///
     /// Returns the number of *distinct* rows rewritten (later updates to
-    /// the same row win) and charges it to [`Counter::DeltaRowsPatched`].
-    /// On any error nothing is modified. A successful delta bumps the
-    /// [`epoch`](Engine::epoch) — cached solutions become stale (but
-    /// survive as warm-start seeds) and the stripe memo is dropped,
-    /// since its entries are keyed by interval only and would
-    /// otherwise alias loads of the pre-delta matrix.
+    /// the same row win), which the patch charges to
+    /// [`Counter::DeltaRowsPatched`]. An empty delta returns `Ok(0)` and
+    /// leaves the epoch alone. On any error (a row out of range, a
+    /// ragged row, Γ overflow) matrix, Γ and row extrema are unchanged.
+    /// A successful delta bumps the [`epoch`](Engine::epoch): cached
+    /// solutions become stale.
     pub fn apply_delta(&mut self, updates: &[RowUpdate]) -> Result<u64, RectpartError> {
         if updates.is_empty() {
             return Ok(0);
         }
-        let (rows, cols) = (self.matrix.rows(), self.matrix.cols());
-        let mut seen = vec![false; rows];
-        let mut changed = 0usize;
-        for u in updates {
-            if u.row >= rows {
-                return Err(RectpartError::RowOutOfRange { row: u.row, rows });
-            }
-            if u.cells.len() != cols {
-                return Err(RectpartError::RaggedRow {
-                    row: u.row,
-                    expected: cols,
-                    got: u.cells.len(),
-                });
-            }
-            // lint:allow(panic-reach) -- u.row < rows was checked above
-            if !std::mem::replace(&mut seen[u.row], true) {
-                changed += 1;
-            }
-        }
-        let k = if 2 * changed <= rows {
-            // Few rows changed: patch the resident Γ in place. The core
-            // patch charges `DeltaRowsPatched` itself.
-            self.pfx
-                .apply_row_updates(&mut self.matrix, updates, &mut self.extrema)?
-        } else {
-            // Most rows changed: a full rebuild is cheaper than the
-            // patch's splice work.
-            self.rebuild_with(updates, changed as u64)?
-        };
+        let k = self
+            .pfx
+            .apply_row_updates(&mut self.matrix, updates, &mut self.extrema)?;
         self.stats.delta_rows_patched += k;
         self.epoch += 1;
-        self.stripes = StripeCache::new();
         Ok(k)
     }
 
@@ -448,43 +408,6 @@ impl Engine {
             });
         }
         Ok(out)
-    }
-
-    /// Delta path for large updates: rewrite the rows, rebuild Γ.
-    /// Validation already ran; only `Overflow` can still fail, and the
-    /// saved rows roll the matrix back in that case.
-    fn rebuild_with(&mut self, updates: &[RowUpdate], changed: u64) -> Result<u64, RectpartError> {
-        let (rows, cols) = (self.matrix.rows(), self.matrix.cols());
-        let mut backup: Vec<(usize, Vec<u32>)> = Vec::with_capacity(changed as usize);
-        let mut seen = vec![false; rows];
-        for u in updates {
-            // lint:allow(panic-reach) -- apply_delta validated u.row < rows
-            if !std::mem::replace(&mut seen[u.row], true) {
-                backup.push((u.row, self.matrix.row(u.row).to_vec()));
-            }
-            // lint:allow(panic-reach) -- row bounds validated; cells.len()
-            // == cols validated, so both slices have length `cols`
-            self.matrix.data_mut()[u.row * cols..(u.row + 1) * cols].copy_from_slice(&u.cells);
-        }
-        match PrefixSum2D::try_new_with(&self.matrix, self.config.gamma_mode) {
-            Ok(pfx) => {
-                self.pfx = pfx;
-                self.extrema = RowExtrema::new(&self.matrix);
-                // The patch path charges this inside the core; the
-                // rebuild path is the engine's own policy, so the engine
-                // charges it to keep the counter's meaning uniform.
-                rectpart_obs::add(Counter::DeltaRowsPatched, changed);
-                Ok(changed)
-            }
-            Err(e) => {
-                for (r, cells) in backup {
-                    // lint:allow(panic-reach) -- r < rows and cells was
-                    // copied out of this very row, so lengths match
-                    self.matrix.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(&cells);
-                }
-                Err(e)
-            }
-        }
     }
 
     /// Rejects empty or out-of-bounds regions.
@@ -509,43 +432,6 @@ impl Engine {
         let pfx = PrefixSum2D::try_new_with(&sub, self.config.gamma_mode)?;
         Ok((sub, pfx))
     }
-
-    /// Runs the named algorithm, warm-started where the algorithm
-    /// supports it. Returns the partition and the number of parametric
-    /// probes the warm start skipped.
-    ///
-    /// `resident` is true for whole-matrix queries, which may share the
-    /// engine's stripe memo; region queries get a throwaway memo because
-    /// [`rectpart_core::StripeKey`] is interval-keyed and entries from a
-    /// different (sub-)matrix would alias.
-    fn warm_partition(
-        &self,
-        pfx: &PrefixSum2D,
-        m: usize,
-        name: &str,
-        prior: Option<&Partition>,
-        resident: bool,
-    ) -> Result<(Partition, u64), RectpartError> {
-        if let Some(variant) = name.strip_prefix("JAG-M-OPT-").and_then(parse_variant) {
-            // Any hint is exactness-preserving: a feasible hint tightens
-            // the upper bound, an infeasible one raises the lower bound,
-            // and the search converges to the same optimum either way.
-            let hint = prior.map(|p| p.lmax(pfx));
-            return JagMOpt { variant }.try_partition_seeded(pfx, m, hint);
-        }
-        if let Some(variant) = name.strip_prefix("JAG-PQ-OPT-").and_then(parse_variant) {
-            let algo = JagPqOpt {
-                variant,
-                grid: None,
-            };
-            let local = StripeCache::new();
-            let cache = if resident { &self.stripes } else { &local };
-            return Ok((algo.partition_warm(pfx, m, cache, prior), 0));
-        }
-        let algo = algorithm_by_name(name)
-            .ok_or_else(|| RectpartError::UnknownAlgorithm(name.to_string()))?;
-        Ok((algo.partition(pfx, m), 0))
-    }
 }
 
 /// Translates a region-local partition back to full-matrix coordinates.
@@ -568,20 +454,11 @@ fn globalize(region: Option<Rect>, local: &Partition) -> Partition {
     }
 }
 
-/// Parses the orientation suffix of a `JAG-*-OPT-*` registry name.
-fn parse_variant(s: &str) -> Option<JaggedVariant> {
-    match s {
-        "HOR" => Some(JaggedVariant::Hor),
-        "VER" => Some(JaggedVariant::Ver),
-        "BEST" => Some(JaggedVariant::Best),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::{rngs::StdRng, Rng, SeedableRng};
+    use rectpart_core::{JagMOpt, Partitioner};
 
     fn test_matrix(rows: usize, cols: usize, seed: u64) -> LoadMatrix {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -651,30 +528,45 @@ mod tests {
     }
 
     #[test]
-    fn patch_and_rebuild_paths_agree_with_fresh_gamma() {
-        for (k, label) in [(2, "patch"), (18, "rebuild")] {
-            let matrix = test_matrix(20, 16, 4);
-            let mut engine = Engine::new(matrix.clone()).unwrap();
-            let delta = updates(20, 16, k, 5 + k as u64);
-            engine.apply_delta(&delta).unwrap();
+    fn small_and_large_deltas_patch_gamma_bit_identically() {
+        // 30% zeros, so the sparse backend stores real runs.
+        let mut rng = StdRng::seed_from_u64(4);
+        let matrix = LoadMatrix::from_fn(20, 16, |_, _| {
+            if rng.gen_bool(0.3) {
+                0
+            } else {
+                rng.gen_range(1..100)
+            }
+        });
+        for mode in [GammaMode::Dense, GammaMode::Sparse] {
+            for k in [2, 18] {
+                let cfg = EngineConfig {
+                    gamma_mode: mode,
+                    ..EngineConfig::default()
+                };
+                let mut engine = Engine::with_config(matrix.clone(), cfg).unwrap();
+                let delta = updates(20, 16, k, 5 + k as u64);
+                engine.apply_delta(&delta).unwrap();
 
-            let mut patched = matrix;
-            for u in &delta {
-                patched.data_mut()[u.row * 16..(u.row + 1) * 16].copy_from_slice(&u.cells);
-            }
-            let fresh = PrefixSum2D::try_new_with(&patched, GammaMode::Auto).unwrap();
-            assert_eq!(engine.prefix().total(), fresh.total(), "{label}");
-            assert_eq!(engine.prefix().max_cell(), fresh.max_cell(), "{label}");
-            assert_eq!(engine.prefix().min_cell(), fresh.min_cell(), "{label}");
-            assert_eq!(engine.matrix().data(), patched.data(), "{label}");
-            for (r0, r1, c0, c1) in [(0, 20, 0, 16), (3, 9, 2, 14), (11, 12, 0, 1)] {
+                let mut patched = matrix.clone();
+                for u in &delta {
+                    patched.data_mut()[u.row * 16..(u.row + 1) * 16].copy_from_slice(&u.cells);
+                }
+                let fresh = PrefixSum2D::try_new_with(&patched, mode).unwrap();
+                let label = format!("{mode:?}, {k} updates");
+                assert_eq!(engine.prefix().is_sparse(), mode == GammaMode::Sparse);
+                // `Debug` prints every backing array of either backend, so
+                // equal output means a bit-identical Γ.
                 assert_eq!(
-                    engine.prefix().load4(r0, r1, c0, c1),
-                    fresh.load4(r0, r1, c0, c1),
-                    "{label} load {r0}..{r1} {c0}..{c1}"
+                    format!("{:?}", engine.prefix()),
+                    format!("{fresh:?}"),
+                    "{label}"
                 );
+                assert_eq!(engine.prefix().max_cell(), fresh.max_cell(), "{label}");
+                assert_eq!(engine.prefix().min_cell(), fresh.min_cell(), "{label}");
+                assert_eq!(engine.matrix().data(), patched.data(), "{label}");
+                assert_eq!(engine.epoch(), 1);
             }
-            assert_eq!(engine.epoch(), 1);
         }
     }
 
@@ -704,6 +596,8 @@ mod tests {
             engine.apply_delta(&ragged),
             Err(RectpartError::RaggedRow { row: 0, .. })
         ));
+        // An empty delta is a no-op: `Ok(0)`, no epoch bump.
+        assert_eq!(engine.apply_delta(&[]), Ok(0));
         assert_eq!(engine.matrix().data(), matrix.data());
         assert_eq!(engine.epoch(), 0);
         assert_eq!(engine.stats().delta_rows_patched, 0);

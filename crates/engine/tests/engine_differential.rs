@@ -1,7 +1,8 @@
 //! Differential test for the resident engine's bit-identity contract:
-//! a warm engine — delta-patched Γ, warm stripe memo, warm-start seeded
-//! solves — must return **exactly** the partitions a cold solve produces
-//! on the patched matrix, for both Γ backends and at any thread count.
+//! a warm engine — one resident Γ patched by every delta, small or
+//! rewriting every row — must return **exactly** the partitions a cold
+//! solve produces on the patched matrix, for both Γ backends and at any
+//! thread count.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -21,37 +22,40 @@ const M: usize = 7;
 const ROWS: usize = 22;
 const COLS: usize = 26;
 
-/// Base matrix plus a short drift series (a few rows rewritten per
-/// step), with enough zeros that the sparse backend engages its run
-/// encoding.
+/// Base matrix plus a short drift series (three steps that rewrite a few
+/// rows, then one that rewrites every row), with enough zeros that the
+/// sparse backend engages its run encoding.
 fn scenario(seed: u64) -> (LoadMatrix, Vec<Vec<RowUpdate>>) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let base = LoadMatrix::from_fn(ROWS, COLS, |_, _| {
-        if rng.gen_bool(0.4) {
-            0
-        } else {
-            rng.gen_range(1..60)
-        }
-    });
-    let deltas = (0..3)
+    let base = LoadMatrix::from_fn(ROWS, COLS, |_, _| cell(&mut rng));
+    let mut deltas: Vec<Vec<RowUpdate>> = (0..3)
         .map(|_| {
             (0..3)
                 .map(|_| RowUpdate {
                     row: rng.gen_range(0..ROWS),
-                    cells: (0..COLS)
-                        .map(|_| {
-                            if rng.gen_bool(0.4) {
-                                0
-                            } else {
-                                rng.gen_range(1..60)
-                            }
-                        })
-                        .collect(),
+                    cells: (0..COLS).map(|_| cell(&mut rng)).collect(),
                 })
                 .collect()
         })
         .collect();
+    deltas.push(
+        (0..ROWS)
+            .map(|row| RowUpdate {
+                row,
+                cells: (0..COLS).map(|_| cell(&mut rng)).collect(),
+            })
+            .collect(),
+    );
     (base, deltas)
+}
+
+/// One cell of the scenario: 40% zeros, the rest in `1..60`.
+fn cell(rng: &mut StdRng) -> u32 {
+    if rng.gen_bool(0.4) {
+        0
+    } else {
+        rng.gen_range(1..60)
+    }
 }
 
 /// The warm path: one resident engine across the whole series.

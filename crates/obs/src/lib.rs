@@ -109,19 +109,13 @@ pub enum Counter {
     /// solution cache without re-solving (including stale partitions
     /// deliberately reused under a drift-threshold rebalance policy).
     EngineWarmHits,
-    /// Matrix rows applied through `Engine::apply_delta` (counted
-    /// whether the Γ table was patched row-incrementally or rebuilt —
-    /// the engine picks whichever the work model says is cheaper).
+    /// Matrix rows patched into a resident Γ by
+    /// `PrefixSum2D::apply_row_updates` (the engine's only delta path).
     DeltaRowsPatched,
-    /// `JAG-M-OPT` bisection probes avoided by warm-start seeding: the
-    /// bit-length shrink of the `[lb, ub]` search range bought by a
-    /// verified incumbent, net of the one verification probe spent.
-    /// A pure function of the bounds, so identical at any thread count.
-    WarmStartProbesSkipped,
 }
 
 /// Number of [`Counter`] variants.
-pub const COUNTER_COUNT: usize = 25;
+pub const COUNTER_COUNT: usize = 24;
 
 impl Counter {
     /// All counters, in stable report order.
@@ -150,7 +144,6 @@ impl Counter {
         Counter::EngineQueries,
         Counter::EngineWarmHits,
         Counter::DeltaRowsPatched,
-        Counter::WarmStartProbesSkipped,
     ];
 
     /// Dotted `layer.name` identifier used as the JSON key.
@@ -180,7 +173,6 @@ impl Counter {
             Counter::EngineQueries => "engine.queries",
             Counter::EngineWarmHits => "engine.warm_hits",
             Counter::DeltaRowsPatched => "engine.delta_rows_patched",
-            Counter::WarmStartProbesSkipped => "engine.warm_start_probes_skipped",
         }
     }
 }

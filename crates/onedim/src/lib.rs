@@ -71,8 +71,8 @@ pub use dp::dp_optimal;
 pub use hetero::{hetero_optimal, hetero_probe, HeteroResult};
 pub use heuristics::{direct_cut, recursive_bisection, recursive_bisection_into};
 pub use nicol::{
-    nicol, nicol_bottleneck, nicol_bounded, nicol_in, nicol_in_seeded, parametric_optimal,
-    try_nicol_in, Cancelled, OneDimResult,
+    nicol, nicol_bottleneck, nicol_bounded, nicol_in, parametric_optimal, try_nicol_in, Cancelled,
+    OneDimResult,
 };
 pub use probe::{probe, probe_feasible, probe_suffix_feasible};
 pub use refined::{direct_cut_refined, probe_feasible_sliced};

@@ -138,64 +138,6 @@ fn try_nicol_in_polling<C: IntervalCost>(
     })
 }
 
-/// [`nicol_in`] warm-started with an externally supplied incumbent —
-/// the resident engine's seeding entry for re-solves after a small load
-/// delta, where the previous solve's cut set is still a decent (and
-/// feasible) solution.
-///
-/// `seed` must be the bottleneck of **some achievable** `m`-way
-/// partition of `c` — typically the previous cuts re-evaluated under
-/// the current cost (`prior.bottleneck(c)`). Any achievable bottleneck
-/// is ≥ the optimum, and the candidate walk takes a `min` over the
-/// incumbent and every candidate (the optimum is always among the
-/// candidates), so the returned result is **bit-identical** to
-/// [`nicol_in`]; a tight seed only arms the global-lower-bound early
-/// exit sooner (fewer `NicolSearchSteps`).
-///
-/// A seed that is *not* achievable can poison the walk (the claimed
-/// incumbent wins the `min` without being realisable); the final
-/// reconstruction probe detects that, and this function falls back to
-/// the cold [`nicol_in`] instead of returning an invalid cut set.
-pub fn nicol_in_seeded<C: IntervalCost>(
-    c: &C,
-    m: usize,
-    scratch: &mut SolveScratch,
-    seed: u64,
-) -> OneDimResult {
-    assert!(m >= 1);
-    rectpart_obs::incr(rectpart_obs::Counter::NicolCalls);
-    let _span = rectpart_obs::span::enter(rectpart_obs::span::SpanKind::NicolSolve);
-    let n = c.len();
-    if n == 0 {
-        return OneDimResult {
-            cuts: Cuts::new(vec![0; m + 1]),
-            bottleneck: 0,
-        };
-    }
-    let incumbent = {
-        let _s = rectpart_obs::span::enter(rectpart_obs::span::SpanKind::NicolIncumbent);
-        rb_incumbent(c, m, scratch).min(seed)
-    };
-    let best = {
-        let _s = rectpart_obs::span::enter(rectpart_obs::span::SpanKind::NicolBisect);
-        // Never cancels with polling off; the RB incumbent is feasible.
-        nicol_search_polling(c, m, incumbent, false).unwrap_or(incumbent)
-    };
-    let _s = rectpart_obs::span::enter(rectpart_obs::span::SpanKind::NicolReconstruct);
-    match probe(c, m, best) {
-        Some(cuts) => {
-            debug_assert_eq!(cuts.bottleneck(c), best, "probe must attain the optimum");
-            OneDimResult {
-                cuts,
-                bottleneck: best,
-            }
-        }
-        // The seed violated its contract (claimed a bottleneck nothing
-        // achieves): discard it and solve cold.
-        None => nicol_in(c, m, scratch),
-    }
-}
-
 /// Bottleneck-only variant of [`nicol`] for the stripe-cost hot loops:
 /// skips the final reconstruction probe and builds its recursive-
 /// bisection incumbent inside `scratch` instead of allocating, so a
@@ -500,42 +442,6 @@ mod tests {
                 nicol(&c, m).bottleneck
             );
         }
-    }
-
-    #[test]
-    fn seeded_is_bit_identical_for_any_achievable_seed() {
-        let mut rng = StdRng::seed_from_u64(17);
-        let mut scratch = crate::scratch::SolveScratch::new();
-        for _ in 0..40 {
-            let n = rng.gen_range(1..50);
-            let loads: Vec<u64> = (0..n).map(|_| rng.gen_range(0..90)).collect();
-            let c = PrefixCosts::from_loads(&loads);
-            for m in [1, 2, 3, 6, 11] {
-                let cold = nicol(&c, m);
-                // Seeds spanning the achievable range: the optimum itself,
-                // a mediocre heuristic bottleneck, and the trivial one-part
-                // solution (all achievable by construction).
-                for seed in [
-                    cold.bottleneck,
-                    recursive_bisection(&c, m).bottleneck(&c),
-                    c.cost(0, n),
-                ] {
-                    let warm = nicol_in_seeded(&c, m, &mut scratch, seed);
-                    assert_eq!(warm, cold, "loads={loads:?} m={m} seed={seed}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn seeded_survives_a_lying_seed() {
-        let c = PrefixCosts::from_loads(&[5u64, 5, 5, 5]);
-        let cold = nicol(&c, 2);
-        assert_eq!(cold.bottleneck, 10);
-        // Claimed bottleneck 3 is unachievable; the fallback must still
-        // return the true optimum with valid cuts.
-        let warm = nicol_in_seeded(&c, 2, &mut crate::scratch::SolveScratch::new(), 3);
-        assert_eq!(warm, cold);
     }
 
     #[test]
